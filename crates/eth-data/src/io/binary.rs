@@ -31,8 +31,10 @@
 //! is still the distinct [`DataError::Format`]: version skew and protocol
 //! confusion are framing errors, not corruption.
 //!
-//! The encoder writes into a [`bytes::BytesMut`] so the same bytes can be
-//! shipped over the transport layer without re-serialization.
+//! The encoder allocates the exact [`encoded_len`] once, fills each array
+//! with one `chunks_exact_mut` pass, and hands the buffer to [`Bytes`]
+//! without a copy, so the same bytes can be shipped over the transport
+//! layer without re-serialization.
 
 use crate::crc::crc32;
 use crate::dataset::DataObject;
@@ -41,7 +43,7 @@ use crate::field::{Attribute, AttributeSet};
 use crate::grid::UniformGrid;
 use crate::points::PointCloud;
 use crate::vec3::Vec3;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use std::fs::File;
 use std::io::{Read as _, Write as _};
 use std::path::Path;
@@ -58,10 +60,55 @@ const ATTR_SCALAR: u8 = 0;
 const ATTR_VECTOR: u8 = 1;
 const ATTR_ID: u8 = 2;
 
-fn put_vec3(buf: &mut BytesMut, v: Vec3) {
-    buf.put_f32_le(v.x);
-    buf.put_f32_le(v.y);
-    buf.put_f32_le(v.z);
+/// Write cursor over the presized output buffer. Each `put_*` splits its
+/// bytes off the front, so an array is one bounds check plus one
+/// `chunks_exact_mut` pass, never a per-element growth check.
+struct Writer<'a> {
+    rest: &'a mut [u8],
+}
+
+impl<'a> Writer<'a> {
+    fn take(&mut self, n: usize) -> &'a mut [u8] {
+        let (head, tail) = std::mem::take(&mut self.rest).split_at_mut(n);
+        self.rest = tail;
+        head
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.take(bytes.len()).copy_from_slice(bytes);
+    }
+
+    fn put_u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn put_f32s(&mut self, v: &[f32]) {
+        for (out, x) in self.take(v.len() * 4).chunks_exact_mut(4).zip(v) {
+            out.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+
+    fn put_vec3s(&mut self, v: &[Vec3]) {
+        for (out, p) in self.take(v.len() * 12).chunks_exact_mut(12).zip(v) {
+            out[0..4].copy_from_slice(&p.x.to_le_bytes());
+            out[4..8].copy_from_slice(&p.y.to_le_bytes());
+            out[8..12].copy_from_slice(&p.z.to_le_bytes());
+        }
+    }
+
+    fn put_u64s(&mut self, v: &[u64]) {
+        for (out, x) in self.take(v.len() * 8).chunks_exact_mut(8).zip(v) {
+            out.copy_from_slice(&x.to_le_bytes());
+        }
+    }
 }
 
 fn get_vec3(buf: &mut Bytes) -> Result<Vec3> {
@@ -71,32 +118,26 @@ fn get_vec3(buf: &mut Bytes) -> Result<Vec3> {
     Ok(Vec3::new(buf.get_f32_le(), buf.get_f32_le(), buf.get_f32_le()))
 }
 
-fn put_attributes(buf: &mut BytesMut, attrs: &AttributeSet) {
-    buf.put_u32_le(attrs.len() as u32);
+fn put_attributes(w: &mut Writer, attrs: &AttributeSet) {
+    w.put_u32(attrs.len() as u32);
     for (name, attr) in attrs.iter() {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
+        w.put_u32(name.len() as u32);
+        w.put(name.as_bytes());
         match attr {
             Attribute::Scalar(v) => {
-                buf.put_u8(ATTR_SCALAR);
-                buf.put_u64_le(v.len() as u64);
-                for &x in v {
-                    buf.put_f32_le(x);
-                }
+                w.put_u8(ATTR_SCALAR);
+                w.put_u64(v.len() as u64);
+                w.put_f32s(v);
             }
             Attribute::Vector(v) => {
-                buf.put_u8(ATTR_VECTOR);
-                buf.put_u64_le(v.len() as u64);
-                for &x in v {
-                    put_vec3(buf, x);
-                }
+                w.put_u8(ATTR_VECTOR);
+                w.put_u64(v.len() as u64);
+                w.put_vec3s(v);
             }
             Attribute::Id(v) => {
-                buf.put_u8(ATTR_ID);
-                buf.put_u64_le(v.len() as u64);
-                for &x in v {
-                    buf.put_u64_le(x);
-                }
+                w.put_u8(ATTR_ID);
+                w.put_u64(v.len() as u64);
+                w.put_u64s(v);
             }
         }
     }
@@ -202,32 +243,30 @@ pub fn encoded_len(obj: &DataObject) -> usize {
 
 /// Encode a dataset into a fresh byte buffer.
 pub fn encode(obj: &DataObject) -> Bytes {
-    let exact = encoded_len(obj);
-    let mut buf = BytesMut::with_capacity(exact);
-    buf.put_slice(MAGIC);
+    let mut out = vec![0u8; encoded_len(obj)];
+    let body_len = out.len() - TRAILER_BYTES;
+    let (body, trailer) = out.split_at_mut(body_len);
+    let mut w = Writer { rest: body };
+    w.put(MAGIC);
     match obj {
         DataObject::Points(p) => {
-            buf.put_u8(KIND_POINTS);
-            buf.put_u64_le(p.len() as u64);
-            for &pos in p.positions() {
-                put_vec3(&mut buf, pos);
-            }
-            put_attributes(&mut buf, p.attributes());
+            w.put_u8(KIND_POINTS);
+            w.put_u64(p.len() as u64);
+            w.put_vec3s(p.positions());
+            put_attributes(&mut w, p.attributes());
         }
         DataObject::Grid(g) => {
-            buf.put_u8(KIND_GRID);
+            w.put_u8(KIND_GRID);
             for d in g.dims() {
-                buf.put_u64_le(d as u64);
+                w.put_u64(d as u64);
             }
-            put_vec3(&mut buf, g.origin());
-            put_vec3(&mut buf, g.spacing());
-            put_attributes(&mut buf, g.attributes());
+            w.put_vec3s(&[g.origin(), g.spacing()]);
+            put_attributes(&mut w, g.attributes());
         }
     }
-    let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    debug_assert_eq!(buf.len(), exact, "encoded_len out of sync with encode");
-    buf.freeze()
+    assert!(w.rest.is_empty(), "encoded_len out of sync with encode");
+    trailer.copy_from_slice(&crc32(body).to_le_bytes());
+    Bytes::from(out)
 }
 
 /// Decode a dataset from bytes produced by [`encode`].

@@ -365,10 +365,10 @@ fn png_chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(kind);
     out.extend_from_slice(payload);
-    let mut crc_input = Vec::with_capacity(4 + payload.len());
-    crc_input.extend_from_slice(kind);
-    crc_input.extend_from_slice(payload);
-    out.extend_from_slice(&eth_data::crc::crc32(&crc_input).to_be_bytes());
+    let mut crc = eth_data::crc::Crc32::new();
+    crc.update(kind);
+    crc.update(payload);
+    out.extend_from_slice(&crc.finish().to_be_bytes());
 }
 
 #[cfg(test)]

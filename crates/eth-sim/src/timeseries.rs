@@ -20,7 +20,6 @@
 //! process of the proxy is able to load the data that it will pass to the
 //! in-situ interface" (Section III-B, Figure 7).
 
-use eth_data::crc::crc32;
 use eth_data::error::{DataError, Result};
 use eth_data::io::binary;
 use eth_data::{Bytes, DataObject};
@@ -36,17 +35,24 @@ pub struct Manifest {
     pub num_steps: usize,
     /// Data kind ("points" or "grid"), informational.
     pub kind: String,
-    /// CRC-32 of each block file's bytes, step-major
-    /// (`index = step * num_ranks + rank`). Empty for series recorded
-    /// before checksumming existed — those read back unverified.
+    /// Each block's EBD2 trailer — the CRC-32 of its body — step-major
+    /// (`index = step * num_ranks + rank`), so a block file read back in
+    /// the wrong slot is caught. Empty for series recorded by older
+    /// builds, which read back guarded by the in-band trailer alone.
     #[serde(default)]
-    pub block_crcs: Vec<u32>,
+    pub block_trailers: Vec<u32>,
+}
+
+/// The trailer word of an EBD2 buffer, if it is long enough to have one.
+fn trailer(bytes: &[u8]) -> Option<u32> {
+    let at = bytes.len().checked_sub(4)?;
+    Some(u32::from_le_bytes(bytes[at..].try_into().ok()?))
 }
 
 impl Manifest {
-    /// The recorded checksum for a block, if this series carries them.
-    pub fn block_crc(&self, step: usize, rank: usize) -> Option<u32> {
-        self.block_crcs
+    /// The recorded trailer for a block, if this series carries them.
+    pub fn block_trailer(&self, step: usize, rank: usize) -> Option<u32> {
+        self.block_trailers
             .get(step * self.num_ranks + rank)
             .copied()
     }
@@ -70,8 +76,8 @@ pub struct TimeSeriesWriter {
     manifest: Manifest,
     /// (step, rank) pairs written so far — completeness is checked at close.
     written: Vec<(usize, usize)>,
-    /// Checksum per block slot, step-major; recorded as blocks are written.
-    crcs: Vec<u32>,
+    /// Trailer per block slot, step-major; recorded as blocks are written.
+    trailers: Vec<u32>,
 }
 
 impl TimeSeriesWriter {
@@ -90,10 +96,10 @@ impl TimeSeriesWriter {
                 num_ranks,
                 num_steps,
                 kind: String::new(),
-                block_crcs: Vec::new(),
+                block_trailers: Vec::new(),
             },
             written: Vec::new(),
-            crcs: vec![0; num_steps * num_ranks],
+            trailers: vec![0; num_steps * num_ranks],
         })
     }
 
@@ -108,7 +114,8 @@ impl TimeSeriesWriter {
         fs::create_dir_all(step_dir(&self.root, step))?;
         let bytes = binary::encode(data);
         fs::write(rank_file(&self.root, step, rank), &bytes[..])?;
-        self.crcs[step * self.manifest.num_ranks + rank] = crc32(&bytes);
+        self.trailers[step * self.manifest.num_ranks + rank] =
+            trailer(&bytes).expect("an EBD2 buffer ends with its trailer");
         if self.manifest.kind.is_empty() {
             self.manifest.kind = data.kind().to_string();
         }
@@ -134,7 +141,7 @@ impl TimeSeriesWriter {
                 "series incomplete: block (step {step}, rank {rank}) never written"
             )));
         }
-        self.manifest.block_crcs = self.crcs;
+        self.manifest.block_trailers = self.trailers;
         let json = serde_json::to_string_pretty(&self.manifest)
             .map_err(|e| DataError::Format(format!("manifest encode: {e}")))?;
         let tmp = self.root.join("manifest.json.tmp");
@@ -168,11 +175,13 @@ impl TimeSeriesReader {
 
     /// Load one rank's block for one step.
     ///
-    /// When the manifest carries checksums, the file's bytes are verified
-    /// against the recorded CRC **before** decoding; a mismatch is
-    /// [`DataError::Corrupt`] naming the block. Legacy series without
-    /// checksums still get the in-band trailer check inside
-    /// [`binary::decode`].
+    /// When the manifest carries trailers, the file's trailer word must
+    /// equal the recorded one **before** decoding; a mismatch (a flipped
+    /// trailer, a block file swapped into the wrong slot) is
+    /// [`DataError::Corrupt`] naming the block. [`binary::decode`] then
+    /// verifies the body against that trailer, so every byte is
+    /// checksummed once. Series from older builds carry no trailers and
+    /// rely on that in-band check alone.
     pub fn read_block(&self, step: usize, rank: usize) -> Result<DataObject> {
         if step >= self.manifest.num_steps || rank >= self.manifest.num_ranks {
             return Err(DataError::InvalidArgument(format!(
@@ -180,16 +189,22 @@ impl TimeSeriesReader {
             )));
         }
         let bytes = fs::read(rank_file(&self.root, step, rank))?;
-        if let Some(expect) = self.manifest.block_crc(step, rank) {
-            let got = crc32(&bytes);
-            if got != expect {
+        if let Some(expect) = self.manifest.block_trailer(step, rank) {
+            let got = trailer(&bytes);
+            if got != Some(expect) {
+                let got = got.map_or("missing".to_string(), |t| format!("{t:#010x}"));
                 return Err(DataError::Corrupt(format!(
                     "block (step {step}, rank {rank}) checksum mismatch: \
-                     manifest {expect:#010x}, file {got:#010x}"
+                     manifest {expect:#010x}, file trailer {got}"
                 )));
             }
         }
-        binary::decode(Bytes::from(bytes))
+        binary::decode(Bytes::from(bytes)).map_err(|e| match e {
+            DataError::Corrupt(msg) => {
+                DataError::Corrupt(format!("block (step {step}, rank {rank}): {msg}"))
+            }
+            other => other,
+        })
     }
 }
 
@@ -271,7 +286,7 @@ mod tests {
         w.write_block(0, 0, &obj(1.0)).unwrap();
         w.write_block(1, 0, &obj(2.0)).unwrap();
         let manifest = w.close().unwrap();
-        assert_eq!(manifest.block_crcs.len(), 2);
+        assert_eq!(manifest.block_trailers.len(), 2);
         assert!(!root.join("manifest.json.tmp").exists());
 
         // Flip one byte in the middle of step 1's block on disk.
@@ -302,18 +317,85 @@ mod tests {
         // Rewrite the manifest the way the pre-checksum format did.
         let manifest_file = root.join("manifest.json");
         let text = fs::read_to_string(&manifest_file).unwrap();
-        assert!(text.contains("block_crcs"));
+        assert!(text.contains("block_trailers"));
         let legacy = r#"{"name":"demo","num_ranks":1,"num_steps":1,"kind":"points"}"#;
         fs::write(&manifest_file, legacy).unwrap();
 
         let r = TimeSeriesReader::open(&root).unwrap();
-        assert!(r.manifest().block_crcs.is_empty());
-        assert_eq!(r.manifest().block_crc(0, 0), None);
+        assert!(r.manifest().block_trailers.is_empty());
+        assert_eq!(r.manifest().block_trailer(0, 0), None);
         let block = r.read_block(0, 0).unwrap();
         assert_eq!(
             block.as_points().unwrap().positions()[0],
             Vec3::splat(3.0)
         );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn swapped_block_files_are_caught_by_the_manifest() {
+        let root = tmp("swapped");
+        let mut w = TimeSeriesWriter::create(&root, "demo", 1, 2).unwrap();
+        w.write_block(0, 0, &obj(1.0)).unwrap();
+        w.write_block(1, 0, &obj(2.0)).unwrap();
+        let manifest = w.close().unwrap();
+
+        // Each file is a valid EBD2 block on its own; only the manifest,
+        // which records each block's own trailer, can tell that they sit
+        // in each other's slot.
+        let a = root.join("step_0000").join("rank_0000.ebd");
+        let b = root.join("step_0001").join("rank_0000.ebd");
+        assert_eq!(manifest.block_trailer(0, 0), trailer(&fs::read(&a).unwrap()));
+        assert_eq!(manifest.block_trailer(1, 0), trailer(&fs::read(&b).unwrap()));
+        let tmp_file = root.join("swap.tmp");
+        fs::rename(&a, &tmp_file).unwrap();
+        fs::rename(&b, &a).unwrap();
+        fs::rename(&tmp_file, &b).unwrap();
+
+        let r = TimeSeriesReader::open(&root).unwrap();
+        for step in 0..2 {
+            let err = r.read_block(step, 0).unwrap_err();
+            assert!(
+                matches!(err, DataError::Corrupt(_)),
+                "step {step}: expected Corrupt, got: {err}"
+            );
+            assert!(err.to_string().contains(&format!("step {step}")));
+        }
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn legacy_whole_file_checksums_read_unverified() {
+        let root = tmp("legacy-whole-file");
+        let mut w = TimeSeriesWriter::create(&root, "demo", 1, 2).unwrap();
+        w.write_block(0, 0, &obj(4.0)).unwrap();
+        w.write_block(1, 0, &obj(5.0)).unwrap();
+        w.close().unwrap();
+
+        // Older builds stored `block_crcs`, the CRC-32 of each whole file
+        // (trailer included), which is the CRC-32 residue for every block.
+        // The field is no longer read.
+        let residue = 0x2144_DF1Cu32;
+        let file = fs::read(root.join("step_0001").join("rank_0000.ebd")).unwrap();
+        assert_eq!(eth_data::crc::crc32(&file), residue);
+        let legacy = format!(
+            r#"{{"name":"demo","num_ranks":1,"num_steps":2,"kind":"points","block_crcs":[{0},{0}]}}"#,
+            residue
+        );
+        fs::write(root.join("manifest.json"), legacy).unwrap();
+
+        let r = TimeSeriesReader::open(&root).unwrap();
+        assert!(r.manifest().block_trailers.is_empty());
+        let block = r.read_block(1, 0).unwrap();
+        assert_eq!(block.as_points().unwrap().positions()[0], Vec3::splat(5.0));
+
+        // The in-band trailer still guards a legacy block.
+        let victim = root.join("step_0000").join("rank_0000.ebd");
+        let mut bytes = fs::read(&victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        fs::write(&victim, &bytes).unwrap();
+        assert!(matches!(r.read_block(0, 0), Err(DataError::Corrupt(_))));
         fs::remove_dir_all(&root).ok();
     }
 
