@@ -11,18 +11,37 @@
 //! the calibrated Hikari model at paper scale, producing the execution
 //! time / power / energy numbers the tables and figures report.
 //!
-//! Coupling strategies in native mode:
-//! * [`Coupling::Tight`] — R ranks; sim and viz share each rank's call
-//!   stack; compositing gathers framebuffers to rank 0.
-//! * [`Coupling::Intercore`] — 2R ranks on one fabric: sim ranks `0..R`
-//!   pass each step's block to their paired viz rank `R + r` (the
-//!   same-node process boundary), viz ranks render and composite.
-//! * [`Coupling::Internode`] — R sim threads and R viz threads in separate
+//! Native mode has one executor. The couplings differ in one thing only:
+//! where a visualization rank gets each step's block. A `Plan`, built once
+//! from the spec, resolves that `Link` and everything else the run
+//! branches on:
+//! * [`Coupling::Tight`] — R ranks; each reads its block from the staged
+//!   store on its own call stack, and there is no wire.
+//! * [`Coupling::Intercore`] — 2R ranks on one fabric: sim rank `r` sends
+//!   each step's block to its paired viz rank `R + r` (the same-node
+//!   process boundary); the sim ranks also join the composite gathers.
+//! * [`Coupling::Internode`] — R sim threads and V viz threads in separate
 //!   "applications": sim ranks publish to the layout file, open their
 //!   sockets and wait; viz ranks poll the file and connect (the paper's
-//!   Section III-C bootstrap), then receive blocks over TCP.
+//!   Section III-C bootstrap), then viz rank `v` drains every sim rank
+//!   `s` with `s % V == v` over TCP.
+//!
+//! Every simulation rank runs `sim_loop` and every visualization rank
+//! `viz_loop`; one [`eth_transport::launch`] starts them all and applies
+//! the fault plan's budget and, under a
+//! [`RecoveryPolicy`](crate::config::RecoveryPolicy), heartbeat
+//! supervision. Ownership of partitions follows Megaphone's migration
+//! model: a plain run's ownership map never changes, a
+//! [`crate::config::MigrationPlan`] changes it on a schedule, and adoption
+//! keeps a dead rank's partition rendering from the shared staged store.
+//! Each viz step drains the rank's wires (owner or not), adopts on a
+//! confirmed death, runs the step's migration handshakes, renders the
+//! partitions the rank owns and composites at the root, which marks the
+//! step for the critical-path walk. Composite payloads are the rank's raw
+//! framebuffer while ownership is static, and framed `(partition,
+//! framebuffer)` entries under a migration plan.
 
-use crate::config::{Coupling, ExperimentSpec, Handoff, RecoveryPolicy};
+use crate::config::{Coupling, ExperimentSpec, Handoff};
 use crate::error::{CoreError, Result};
 use crate::pipeline::{accumulate, VizPipeline};
 use bytes::Bytes;
@@ -37,7 +56,7 @@ use eth_cluster::task::NodeGroup;
 use eth_data::partition::{partition_grid_slabs, partition_points};
 use eth_data::staging;
 use eth_data::{Aabb, DataObject};
-use eth_render::composite::{composite_direct, composite_direct_masked, composite_owned, RankMask};
+use eth_render::composite::{composite_direct, composite_owned};
 use eth_render::framebuffer::Framebuffer;
 use eth_render::pipeline::RenderStats;
 use eth_render::Image;
@@ -48,15 +67,14 @@ use eth_transport::collectives::{
 };
 use eth_transport::comm::{Communicator, TransportError};
 use eth_transport::layout::LayoutFile;
-use eth_transport::local::LocalComm;
+use eth_transport::local::LocalFabric;
 use eth_transport::message::{decode_dataset_from, encode_dataset};
-use eth_transport::runner::{
-    run_ranks, run_ranks_heartbeat, run_ranks_supervised, spawn_migration_supervisor, MigrationBook,
-};
+use eth_transport::runner::{launch, Liveness, MigrationBook, RankBody};
 use eth_transport::socket::{connect_to, listen_as};
 use eth_transport::{HeartbeatBoard, HeartbeatPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -176,7 +194,7 @@ pub struct NativeOutcome {
     pub degradation: Degradation,
     /// Per-loss recovery latency: seconds from a dead rank's last
     /// heartbeat to its partition's adoption (empty for clean runs or
-    /// runs without a [`RecoveryPolicy`]). Feeds the campaign telemetry's
+    /// runs without a [`crate::config::RecoveryPolicy`]). Feeds the campaign telemetry's
     /// `recovery_latency_s` histogram.
     pub recovery_latency_s: Vec<f64>,
     /// Per-handoff step-latency disruption: seconds the source rank spent
@@ -313,7 +331,10 @@ fn decode_block(spec: &ExperimentSpec, from: usize, payload: Bytes) -> Result<Da
     }
 }
 
-/// Per-rank result inside the parallel sections.
+/// Per-rank result inside the parallel sections (the default is a dead
+/// rank's tombstone: nothing rendered, nothing to report — its
+/// partition's story continues in the adopter).
+#[derive(Default)]
 struct RankOutput {
     images: Vec<Image>,
     stats: RenderStats,
@@ -324,22 +345,6 @@ struct RankOutput {
     recovery_latency_s: Vec<f64>,
     /// Handoff handshake stalls this rank observed (migration sources).
     migration_disruption_s: Vec<f64>,
-}
-
-impl RankOutput {
-    /// The output of a rank that died mid-run: nothing rendered, nothing
-    /// to report — its partition's story continues in the adopter.
-    fn tombstone() -> RankOutput {
-        RankOutput {
-            images: Vec::new(),
-            stats: RenderStats::default(),
-            phases: PhaseTimes::default(),
-            bytes_sent: 0,
-            degradation: Degradation::default(),
-            recovery_latency_s: Vec::new(),
-            migration_disruption_s: Vec::new(),
-        }
-    }
 }
 
 /// Minimal per-rank recovery state, snapshotted after each completed step.
@@ -375,17 +380,10 @@ pub(crate) struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    fn new(ranks: usize) -> CheckpointStore {
+    fn new(ranks: usize, spill: Option<crate::journal::Journal>) -> CheckpointStore {
         CheckpointStore {
             slots: Mutex::new(vec![None; ranks]),
-            spill: None,
-        }
-    }
-
-    fn with_spill(ranks: usize, journal: crate::journal::Journal) -> CheckpointStore {
-        CheckpointStore {
-            slots: Mutex::new(vec![None; ranks]),
-            spill: Some(journal),
+            spill,
         }
     }
 
@@ -451,27 +449,6 @@ impl Beater {
 impl Drop for Beater {
     fn drop(&mut self) {
         self.silence();
-    }
-}
-
-/// What a rank's data-intake closure hands back for one step: the blocks
-/// that actually arrived plus timing and any faults absorbed getting them.
-struct StepIntake {
-    blocks: Vec<DataObject>,
-    sim_time: Duration,
-    transfer_time: Duration,
-    degradation: Degradation,
-}
-
-impl StepIntake {
-    /// A clean intake (no process boundary, nothing lost).
-    fn clean(blocks: Vec<DataObject>, sim_time: Duration, transfer_time: Duration) -> StepIntake {
-        StepIntake {
-            blocks,
-            sim_time,
-            transfer_time,
-            degradation: Degradation::default(),
-        }
     }
 }
 
@@ -755,110 +732,6 @@ pub fn baseline_spec(spec: &ExperimentSpec) -> ExperimentSpec {
     base
 }
 
-/// Render + composite for one rank across all steps, gathering to `root`
-/// over `comm`. Returns the rank's output (root holds the images).
-///
-/// `take_blocks` may hand the rank *several* blocks per step (asymmetric
-/// internode layouts assign multiple simulation ranks to one visualization
-/// rank); each block renders independently and the rank's frames are
-/// depth-merged locally before the cross-rank composite — standard
-/// sort-last behaviour.
-#[allow(clippy::too_many_arguments)]
-fn viz_side(
-    spec: &ExperimentSpec,
-    comm: &dyn Communicator,
-    root: usize,
-    staged: &StagedData,
-    mut take_blocks: impl FnMut(usize) -> Result<StepIntake>,
-) -> Result<RankOutput> {
-    let mut images = Vec::new();
-    let mut stats = RenderStats::default();
-    let mut phases = PhaseTimes::default();
-    let mut degradation = Degradation::default();
-    for step in 0..spec.steps {
-        let intake = take_blocks(step)?;
-        phases.sim_s += intake.sim_time.as_secs_f64();
-        phases.transfer_s += intake.transfer_time.as_secs_f64();
-        // Classify the step: faults with nothing delivered = a dropped
-        // step (this rank renders stale/empty); faults with partial
-        // delivery = a degraded step. Either way the rank presses on and
-        // joins every composite, so one sick link never deadlocks the run.
-        let mut step_deg = intake.degradation;
-        if step_deg.faults() > 0 {
-            if intake.blocks.is_empty() {
-                step_deg.dropped_steps += 1;
-            } else {
-                step_deg.degraded_steps += 1;
-            }
-        }
-        degradation.absorb(&step_deg);
-        let blocks = intake.blocks;
-
-        // Every rank colors through the global transfer-function range.
-        let pipeline = pipeline_for_step(spec, staged, step);
-        let t_viz = Instant::now();
-        let mut frames: Vec<Framebuffer> = Vec::new();
-        for block in &blocks {
-            let out = pipeline.execute_step(step, block, &staged.bounds[step])?;
-            stats = accumulate(stats, out.stats);
-            if frames.is_empty() {
-                frames = out.frames;
-            } else {
-                for (acc, fb) in frames.iter_mut().zip(&out.frames) {
-                    acc.composite_in(fb);
-                }
-            }
-        }
-        // A rank with no blocks (over-provisioned asymmetric layout) must
-        // still join every composite gather with empty frames, or the
-        // collective deadlocks.
-        if frames.is_empty() {
-            frames = (0..spec.images_per_step)
-                .map(|_| Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO))
-                .collect();
-        }
-        phases.viz_s += t_viz.elapsed().as_secs_f64();
-
-        let t_comp = Instant::now();
-        for (image_index, fb) in frames.into_iter().enumerate() {
-            let payload = Bytes::from(fb.to_bytes());
-            let gathered = gather(comm, root, payload)?;
-            if let Some(parts) = gathered {
-                // Non-rendering ranks (the intercore sim side) contribute
-                // empty payloads to keep the collective uniform; skip them.
-                let buffers: Vec<Framebuffer> = parts
-                    .iter()
-                    .filter(|raw| !raw.is_empty())
-                    .map(|raw| {
-                        Framebuffer::from_bytes(raw).ok_or_else(|| {
-                            CoreError::Config("malformed framebuffer on the wire".into())
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let (merged, _cstats) = composite_direct(buffers);
-                let image = merged.into_image();
-                pipeline.write_artifact(step, image_index, &image)?;
-                images.push(image);
-            }
-        }
-        phases.composite_s += t_comp.elapsed().as_secs_f64();
-        // The composite root closing a step is the frame boundary the
-        // critical-path walk in `eth_obs::merge` attributes backwards from.
-        if comm.rank() == root {
-            eth_obs::step_mark(step as u64);
-        }
-    }
-    Ok(RankOutput {
-        images,
-        stats,
-        phases,
-        bytes_sent: comm.traffic().bytes_sent,
-        degradation,
-        recovery_latency_s: Vec::new(),
-        migration_disruption_s: Vec::new(),
-    })
-}
-
 /// Pipeline configured with the step's global color range.
 fn pipeline_for_step(spec: &ExperimentSpec, staged: &StagedData, step: usize) -> VizPipeline {
     let mut options = eth_render::pipeline::RenderOptions {
@@ -908,20 +781,6 @@ fn merge_outputs(spec: &ExperimentSpec, wall_s: f64, outputs: Vec<RankOutput>) -
     }
 }
 
-/// Launch local-fabric ranks, supervised when the spec's fault plan sets a
-/// per-rank wall-clock budget: a hung or panicking rank then surfaces as
-/// [`CoreError::Rank`] instead of wedging or aborting the sweep.
-fn run_ranks_maybe_supervised<T, F>(spec: &ExperimentSpec, size: usize, body: F) -> Result<Vec<T>>
-where
-    T: Send + 'static,
-    F: Fn(LocalComm) -> T + Send + Sync + Clone + 'static,
-{
-    match spec.fault_plan.as_ref().and_then(|p| p.rank_timeout()) {
-        Some(budget) => Ok(run_ranks_supervised(size, budget, body)?),
-        None => Ok(run_ranks(size, body)),
-    }
-}
-
 /// Run an experiment natively (see module docs).
 pub fn run_native(spec: &ExperimentSpec) -> Result<NativeOutcome> {
     spec.validate()?;
@@ -961,14 +820,6 @@ where
     let mut outcome = merge_outputs(spec, t0.elapsed().as_secs_f64(), outputs);
     attribute_run(&mut outcome, &recorder.take(), t0_ns);
     Ok(outcome)
-}
-
-fn run_coupled(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
-    match spec.coupling {
-        Coupling::Tight => run_tight(spec, staged),
-        Coupling::Intercore => run_intercore(spec, staged),
-        Coupling::Internode => run_internode(spec, staged),
-    }
 }
 
 /// Modeled node utilization while one span of `phase` runs: compute
@@ -1141,491 +992,675 @@ fn recovery_deadline(spec: &ExperimentSpec) -> Duration {
         .unwrap_or(Duration::from_secs(120))
 }
 
-/// Run `size` heartbeat-supervised ranks and collect the survivors'
-/// outputs. Ranks that died mid-run left tombstones (or, past the grace
-/// window, nothing); losses beyond the policy's budget surfaced as
-/// [`CoreError::Rank`] inside the runner.
-fn run_ranks_recovering<F>(
-    spec: &ExperimentSpec,
-    policy: RecoveryPolicy,
-    size: usize,
-    body: F,
-) -> Result<Vec<RankOutput>>
-where
-    F: Fn(LocalComm, Arc<HeartbeatBoard>) -> Result<RankOutput> + Send + Sync + Clone + 'static,
-{
-    let run = run_ranks_heartbeat(
-        size,
-        policy.heartbeat,
-        policy.max_rank_losses as usize,
-        recovery_deadline(spec),
-        body,
-    )
-    .map_err(CoreError::Rank)?;
-    run.outputs.into_iter().flatten().collect()
-}
-
-fn run_tight(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
-    let ranks = spec.ranks;
-    let spec_body = spec.clone();
-    let staged = staged.clone();
-    if let Some(policy) = spec.recovery {
-        // Tight coupling has one lifetime per rank (nothing to adopt), but
-        // the heartbeat supervision still applies: a silent rank surfaces
-        // with step attribution instead of wedging to the global deadline.
-        return run_ranks_recovering(spec, policy, ranks, move |comm, board| {
-            let rank = comm.rank();
-            let _beater = Beater::spawn(&board, rank, policy.heartbeat);
-            viz_side(&spec_body, &comm, 0, &staged, |step| {
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                if step > 0 {
-                    board.step_done(rank, step - 1);
-                }
-                Ok(StepIntake::clean(vec![block], t.elapsed(), Duration::ZERO))
-            })
-        });
-    }
-    let results = run_ranks_maybe_supervised(spec, ranks, move |comm| {
-        let rank = comm.rank();
-        viz_side(&spec_body, &comm, 0, &staged, |step| {
-            // "simulation": the proxy presents its block (a copy, as a real
-            // proxy's load would be)
-            let t = Instant::now();
-            let block = staged.block(step, rank)?;
-            Ok(StepIntake::clean(vec![block], t.elapsed(), Duration::ZERO))
-        })
-    })?;
-    results.into_iter().collect()
-}
-
 const DATA_TAG_BASE: u32 = 0x1000;
 
-fn run_intercore(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
-    if spec.migration.is_some() {
-        let policy = spec.recovery.expect("validated: migration requires recovery");
-        return run_intercore_migrating(spec, staged, policy);
-    }
-    if let Some(policy) = spec.recovery {
-        return run_intercore_recovering(spec, staged, policy);
-    }
-    let r = spec.ranks;
-    let spec_body = spec.clone();
-    let staged = staged.clone();
-    // 2R ranks on one fabric: 0..R sim, R..2R viz. Viz ranks composite via
-    // a gather rooted at viz rank R (index 0 of the viz side); the sim
-    // ranks also participate in the gather with empty payloads so the
-    // collective spans the communicator.
-    let results = run_ranks_maybe_supervised(spec, 2 * r, move |comm| -> Result<RankOutput> {
-        let spec = &spec_body;
-        let rank = comm.rank();
-        let tolerant = spec.fault_plan.is_some();
-        // With a fault plan, the whole fabric runs behind the chaos
-        // wrapper; the plan's tag window keeps the composite collectives
-        // fault-free while the data path misbehaves.
-        let comm: Box<dyn Communicator> = match spec.fault_plan.clone() {
-            Some(plan) => Box::new(ChaosComm::new(comm, plan)),
-            None => Box::new(comm),
+fn data_tag(step: usize) -> u32 {
+    DATA_TAG_BASE + step as u32
+}
+
+/// Where a visualization rank gets each step's block: the one thing the
+/// couplings differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    /// Tight: from the staged store, on the rank's own call stack.
+    Staged,
+    /// Intercore: sim rank `s` sends to viz rank `R + s` on one fabric.
+    Fabric,
+    /// Internode: sim rank `s` streams over a socket to viz rank `s % V`.
+    Socket,
+}
+
+/// One native run, resolved once from the spec — who simulates, who
+/// renders, who drains which wire, who composites and how ownership may
+/// move — plus the handles every rank body shares.
+struct Plan {
+    spec: ExperimentSpec,
+    link: Link,
+    /// Separate simulation ranks, one per partition (none under tight).
+    sims: usize,
+    /// Visualization ranks: the most any rescale reaches.
+    viz: usize,
+    /// Fabric rank of visualization rank 0, the composite root.
+    root: usize,
+    /// The viz rank owning each partition at step 0. It drains the
+    /// partition's wire for the whole run, whoever owns it later.
+    initial_owners: Vec<usize>,
+    /// Planned ownership changes (empty without a migration plan).
+    handoffs: Vec<Handoff>,
+    staged: Arc<StagedData>,
+    /// Liveness under a [`crate::config::RecoveryPolicy`]: one slot per
+    /// fabric rank, or per simulation rank when those sit beside the
+    /// fabric (internode).
+    board: Option<Arc<HeartbeatBoard>>,
+    checkpoints: CheckpointStore,
+    book: Arc<MigrationBook>,
+}
+
+impl Plan {
+    fn new(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Plan {
+        let r = spec.ranks;
+        let (link, sims, root) = match spec.coupling {
+            Coupling::Tight => (Link::Staged, 0, 0),
+            Coupling::Intercore => (Link::Fabric, r, r),
+            Coupling::Internode => (Link::Socket, r, 0),
         };
-        let comm = comm.as_ref();
-        if rank < r {
-            // simulation proxy side
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            for step in 0..spec.steps {
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                let payload = encode_block(spec, &block);
-                phases.sim_s += t.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                match comm.send(r + rank, DATA_TAG_BASE + step as u32, payload) {
-                    Ok(()) => {}
-                    // a dead viz link must not kill the simulation: note it
-                    // and keep stepping (the paired viz rank degrades)
-                    Err(e) if tolerant => degradation.count(&e),
-                    Err(e) => return Err(e.into()),
-                }
-                phases.transfer_s += t2.elapsed().as_secs_f64();
-                // join the per-image composite gathers with empty payloads
-                for _ in 0..spec.images_per_step {
-                    gather(comm, r, Bytes::new())?;
-                }
+        let viz = spec.max_viz_count();
+        let board_size = if link == Link::Socket {
+            sims
+        } else {
+            root + viz
+        };
+        // Internode checkpoints spill through the journal WAL when the run
+        // keeps artifacts, the path a real multi-node deployment needs.
+        let spill = spec
+            .artifact_dir
+            .as_ref()
+            .filter(|_| link == Link::Socket && spec.recovery.is_some())
+            .and_then(|dir| crate::journal::Journal::open(&dir.join("recovery")).ok());
+        let handoffs = spec.migration_handoffs();
+        Plan {
+            spec: spec.clone(),
+            link,
+            sims,
+            viz,
+            root,
+            initial_owners: (0..r).map(|p| spec.initial_owner(p)).collect(),
+            book: MigrationBook::new(handoffs.len()),
+            handoffs,
+            staged: staged.clone(),
+            board: spec.recovery.map(|_| HeartbeatBoard::new(board_size)),
+            checkpoints: CheckpointStore::new(r, spill),
+        }
+    }
+
+    /// The board, if rank `id` beats on it.
+    fn on_board(&self, id: usize) -> Option<&Arc<HeartbeatBoard>> {
+        self.board.as_ref().filter(|b| id < b.size())
+    }
+
+    fn beater(&self, id: usize) -> Option<Beater> {
+        let policy = self.spec.recovery?;
+        self.on_board(id)
+            .map(|board| Beater::spawn(board, id, policy.heartbeat))
+    }
+
+    /// Is partition `p`'s simulation rank confirmed dead?
+    fn is_dead(&self, p: usize) -> bool {
+        self.board.as_ref().is_some_and(|b| b.is_dead(p))
+    }
+}
+
+/// The internode layout directory, removed when the run ends however it
+/// ends.
+struct LayoutDir {
+    path: PathBuf,
+    file: LayoutFile,
+}
+
+impl LayoutDir {
+    fn create(spec: &ExperimentSpec) -> Result<LayoutDir> {
+        // The counter keeps dirs distinct when a campaign runs same-named
+        // internode points concurrently in one process.
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "eth-layout-{}-{:x}-{}",
+            spec.name.replace('/', "_"),
+            std::process::id(),
+            RUNS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        let file = LayoutFile::create(&path)?;
+        Ok(LayoutDir { path, file })
+    }
+}
+
+impl Drop for LayoutDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
+/// Execute the coupling: build the plan, then launch every rank body
+/// once. The launch applies the fault plan's `rank_timeout` (under a
+/// recovery policy, [`recovery_deadline`]) and, with liveness, supervises
+/// heartbeats and enforces `max_rank_losses`.
+fn run_coupled(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
+    let plan = Arc::new(Plan::new(spec, staged));
+    let layout = match plan.link {
+        Link::Socket => Some(LayoutDir::create(spec)?),
+        _ => None,
+    };
+    let mut fabric: Vec<Box<dyn Communicator>> = LocalFabric::new(plan.root + plan.viz)
+        .into_iter()
+        .map(|comm| -> Box<dyn Communicator> {
+            // With a fault plan, a fabric carrying the data path runs behind
+            // the chaos wrapper; the plan's tag window keeps the composite
+            // collectives fault-free while the data path misbehaves.
+            match spec
+                .fault_plan
+                .clone()
+                .filter(|_| plan.link == Link::Fabric)
+            {
+                Some(faults) => Box::new(ChaosComm::new(comm, faults)),
+                None => Box::new(comm),
             }
-            Ok(RankOutput {
-                images: Vec::new(),
-                stats: RenderStats::default(),
-                phases,
-                bytes_sent: comm.traffic().bytes_sent,
-                degradation,
-                recovery_latency_s: Vec::new(),
-                migration_disruption_s: Vec::new(),
-            })
-        } else {
-            // visualization proxy side
-            let sim_rank = rank - r;
-            let out = viz_side(spec, comm, r, &staged, |step| {
-                let t = Instant::now();
-                let mut deg = Degradation::default();
-                // the chaos wrapper applies the plan's receive deadline, so
-                // this cannot block forever on a dropped message
-                let blocks = match comm.recv(sim_rank, DATA_TAG_BASE + step as u32) {
-                    Ok(payload) => match decode_block(spec, sim_rank, payload) {
-                        Ok(block) => vec![block],
-                        Err(_) if tolerant => {
-                            deg.corrupt_payloads += 1;
-                            Vec::new()
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    Err(e) if tolerant => {
-                        deg.count(&e);
-                        Vec::new()
-                    }
-                    Err(e) => return Err(e.into()),
-                };
-                Ok(StepIntake {
-                    blocks,
-                    sim_time: Duration::ZERO,
-                    transfer_time: t.elapsed(),
-                    degradation: deg,
-                })
-            })?;
-            Ok(out)
-        }
-    })?;
-    results.into_iter().collect()
-}
-
-/// Intercore coupling under a [`RecoveryPolicy`]: the same 2R-rank fabric,
-/// but every rank beats a shared [`HeartbeatBoard`], composites go through
-/// the surviving-contributor gather, and a confirmed-dead simulation rank's
-/// partition is adopted by its paired visualization rank from the last
-/// step checkpoint.
-fn run_intercore_recovering(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: RecoveryPolicy,
-) -> Result<Vec<RankOutput>> {
-    let r = spec.ranks;
-    let spec_body = spec.clone();
-    let staged = staged.clone();
-    let checkpoints = Arc::new(CheckpointStore::new(r));
-    run_ranks_recovering(spec, policy, 2 * r, move |comm, board| -> Result<RankOutput> {
-        let spec = &spec_body;
-        let rank = comm.rank();
-        let comm: Box<dyn Communicator> = match spec.fault_plan.clone() {
-            Some(plan) => Box::new(ChaosComm::new(comm, plan)),
-            None => Box::new(comm),
-        };
-        let comm = comm.as_ref();
-        let mut beater = Beater::spawn(&board, rank, policy.heartbeat);
-        if rank < r {
-            intercore_sim_recovering(spec, comm, &board, &staged, &checkpoints, &mut beater)
-        } else {
-            intercore_viz_recovering(spec, policy, comm, &board, &staged, &checkpoints)
-        }
-    })
-}
-
-/// The simulation side of a recovering intercore run. A scripted kill
-/// silences the rank's beats and parks it until the supervisor declares it
-/// dead; otherwise the rank streams its block, joins every composite
-/// gather, records a step checkpoint, and reports liveness progress.
-fn intercore_sim_recovering(
-    spec: &ExperimentSpec,
-    comm: &dyn Communicator,
-    board: &Arc<HeartbeatBoard>,
-    staged: &StagedData,
-    checkpoints: &CheckpointStore,
-    beater: &mut Beater,
-) -> Result<RankOutput> {
-    let r = spec.ranks;
-    let rank = comm.rank();
-    let plan = spec.fault_plan.clone().unwrap_or_default();
-    let gather_budget = recovery_deadline(spec);
-    let mut phases = PhaseTimes::default();
-    let mut degradation = Degradation::default();
-    for step in 0..spec.steps {
-        if plan.kills(rank, step) {
-            // The scripted death: stop beating, wait to be declared dead
-            // (so detection latency is measured against a real silence),
-            // and leave a tombstone. The paired viz rank adopts from the
-            // checkpoint this rank recorded for step - 1.
-            beater.silence();
-            board.await_death(rank, gather_budget);
-            return Ok(RankOutput::tombstone());
-        }
-        let t = Instant::now();
-        let block = staged.block(step, rank)?;
-        let payload = encode_block(spec, &block);
-        phases.sim_s += t.elapsed().as_secs_f64();
-        let t2 = Instant::now();
-        match comm.send(r + rank, DATA_TAG_BASE + step as u32, payload) {
-            Ok(()) => {}
-            Err(e) => degradation.count(&e),
-        }
-        phases.transfer_s += t2.elapsed().as_secs_f64();
-        for image_index in 0..spec.images_per_step {
-            let salt = (step * spec.images_per_step + image_index) as u32;
-            gather_surviving(
-                comm,
-                r,
-                salt,
-                Bytes::new(),
-                &|peer| board.is_dead(peer),
-                gather_budget,
-            )?;
-        }
-        checkpoints.record(StepCheckpoint {
-            rank,
-            partition: rank,
-            step,
-            proxy_cursor: step + 1,
-            rng_state: spec.seed ^ rank as u64,
-            degradation,
+        })
+        .collect();
+    let viz_comms = fabric.split_off(plan.root);
+    let mut sim_comms = fabric.into_iter();
+    let mut bodies = Vec::new();
+    // Visualization ranks first: an internode viz rank's bootstrap wait
+    // then shows up inside its connect span, not as pre-spawn idle.
+    for (v, comm) in viz_comms.into_iter().enumerate() {
+        let (plan, layout) = (plan.clone(), layout.as_ref().map(|l| l.file.clone()));
+        bodies.push(RankBody::new(plan.sims + v, move || {
+            viz_loop(&plan, v, comm.as_ref(), layout.as_ref())
+        }));
+    }
+    for sim in 0..plan.sims {
+        let (plan, layout) = (plan.clone(), layout.as_ref().map(|l| l.file.clone()));
+        let comm = sim_comms.next();
+        bodies.push(RankBody::new(sim, move || {
+            sim_loop(&plan, sim, comm, layout.as_ref())
+        }));
+    }
+    let budget = match plan.board {
+        Some(_) => Some(recovery_deadline(spec)),
+        None => spec.fault_plan.as_ref().and_then(|p| p.rank_timeout()),
+    };
+    let liveness = plan
+        .board
+        .clone()
+        .zip(spec.recovery)
+        .map(|(board, policy)| Liveness {
+            board,
+            policy: policy.heartbeat,
+            max_losses: policy.max_rank_losses as usize,
+            book: plan.book.clone(),
+            handoffs: plan
+                .handoffs
+                .iter()
+                .enumerate()
+                .map(|(i, h)| (i, h.partition))
+                .collect(),
         });
-        board.step_done(rank, step);
-    }
-    Ok(RankOutput {
-        images: Vec::new(),
-        stats: RenderStats::default(),
-        phases,
-        bytes_sent: comm.traffic().bytes_sent,
-        degradation,
-        recovery_latency_s: Vec::new(),
-        migration_disruption_s: Vec::new(),
-    })
+    let outputs = launch(bodies, budget, liveness)?;
+    Ok(outputs.into_iter().flatten().collect())
 }
 
-/// The visualization side of a recovering intercore run: receives the
-/// paired simulation rank's block under a liveness-bounded deadline, adopts
-/// the partition when the pair is confirmed dead, and composites through
-/// the surviving-contributor gather with a [`RankMask`] over the holes.
-fn intercore_viz_recovering(
-    spec: &ExperimentSpec,
-    policy: RecoveryPolicy,
-    comm: &dyn Communicator,
-    board: &Arc<HeartbeatBoard>,
-    staged: &StagedData,
-    // The viz side once consulted the dead rank's checkpoint cursor here;
-    // adoption now needs only the shared staged store, but the parameter
-    // stays so the sim/viz rank bodies keep symmetric signatures.
-    _checkpoints: &CheckpointStore,
+/// A simulation rank's end of its pair link.
+enum SimLink {
+    /// Intercore: a peer on the shared fabric; the rank also joins every
+    /// composite gather there.
+    Fabric(Box<dyn Communicator>),
+    /// Internode: a socket to the draining visualization rank.
+    Socket(Box<ChaosChannel>),
+}
+
+/// The simulation side of every coupling with separate simulation ranks.
+/// Each step: park on a scripted kill, fetch and encode the block, send it
+/// over the pair link, and — under liveness — checkpoint and report the
+/// step. `comm` is the rank's fabric endpoint (intercore); `layout` the
+/// file an internode socket bootstraps through.
+fn sim_loop(
+    plan: &Plan,
+    sim: usize,
+    comm: Option<Box<dyn Communicator>>,
+    layout: Option<&LayoutFile>,
 ) -> Result<RankOutput> {
-    let r = spec.ranks;
-    let root = r;
-    let rank = comm.rank();
-    let sim = rank - r;
-    let detection = policy.heartbeat.detection_deadline();
-    // A missing block is either a lost message (one degraded step) or a
-    // death in progress. Receive in slices a bit past the detection
-    // deadline, re-checking liveness between slices: a slow-but-alive pair
-    // gets the full budget, a confirmed death resolves in O(detection).
-    let wait = detection * 2 + Duration::from_millis(25);
-    let recv_budget = spec
-        .fault_plan
-        .as_ref()
-        .and_then(|p| p.deadline())
-        .unwrap_or(Duration::from_secs(2))
-        .max(wait);
-    let gather_budget = recovery_deadline(spec);
-    let mut images = Vec::new();
-    let mut stats = RenderStats::default();
-    let mut phases = PhaseTimes::default();
-    let mut degradation = Degradation::default();
-    let mut recovery_latency_s = Vec::new();
-    let mut adopted = false;
-    let mut own_notice: Option<AdoptNotice> = None;
-
+    let spec = &plan.spec;
+    let faults = spec.fault_plan.clone().unwrap_or_default();
+    let link = match comm {
+        Some(comm) => SimLink::Fabric(comm),
+        // the socket always goes through the chaos wrapper; with no plan
+        // it is a passthrough
+        None => {
+            let layout = layout.expect("socket links bootstrap through a layout file");
+            SimLink::Socket(Box::new(ChaosChannel::new(
+                listen_as(layout, sim)?,
+                faults.clone(),
+            )))
+        }
+    };
+    let tolerant = spec.fault_plan.is_some() || plan.board.is_some();
+    let mut beater = plan.beater(sim);
+    let mut out = RankOutput::default();
     for step in 0..spec.steps {
+        if let (Some(beater), Some(board)) = (beater.as_mut(), &plan.board) {
+            if faults.kills(sim, step) {
+                // The scripted death: stop beating, wait to be declared
+                // dead (so detection latency is measured against a real
+                // silence), and leave a tombstone. Dropping the link then
+                // snaps a socket, so its drainer sees a disconnect.
+                beater.silence();
+                board.await_death(sim, recovery_deadline(spec));
+                return Ok(RankOutput::default());
+            }
+        }
         let t = Instant::now();
-        let mut step_deg = Degradation::default();
-        let mut blocks = Vec::new();
-        if !adopted && !board.is_dead(sim) {
-            let deadline = Instant::now() + recv_budget;
-            loop {
-                // the pair died while we waited: fall through to adoption
-                if board.is_dead(sim) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    step_deg.timeouts += 1;
-                    break;
-                }
-                match comm.recv_timeout(sim, DATA_TAG_BASE + step as u32, wait.min(deadline - now))
-                {
-                    Ok(payload) => {
-                        match decode_block(spec, sim, payload) {
-                            Ok(block) => blocks.push(block),
-                            Err(_) => step_deg.corrupt_payloads += 1,
-                        }
-                        break;
-                    }
-                    Err(TransportError::Timeout { .. }) => continue,
-                    Err(e) => {
-                        if !board.is_dead(sim) {
-                            step_deg.count(&e);
-                        }
-                        break;
-                    }
-                }
+        // `block` stays alive through the send: dropping it first measured
+        // ~8 MiB more peak RSS on `hacc-internode-raycast` (EXPERIMENTS.md).
+        let block = plan.staged.block(step, sim)?;
+        let payload = encode_block(spec, &block);
+        out.phases.sim_s += t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let sent = match &link {
+            SimLink::Fabric(comm) => comm.send(plan.root + sim, data_tag(step), payload),
+            SimLink::Socket(chan) => chan.send(data_tag(step), payload),
+        };
+        if let Err(e) = sent {
+            if !tolerant {
+                return Err(e.into());
+            }
+            // A dead viz link must not kill the simulation: count it and
+            // keep stepping. A socket does not come back, so the remaining
+            // steps stay local.
+            out.degradation.count(&e);
+            if let SimLink::Socket(_) = link {
+                break;
             }
         }
-        if blocks.is_empty() && board.is_dead(sim) {
-            if !adopted {
-                // First step after the confirmed death: record the loss and
-                // (policy permitting) adopt the partition from the dead
-                // rank's last checkpoint.
-                let _span = eth_obs::span(eth_obs::Phase::Recovery);
-                adopted = true;
-                step_deg.rank_losses += 1;
-                eth_obs::count("rank_losses", 1.0);
-                let death = board.death_of(sim);
-                let latency_ns = death
-                    .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
-                    .unwrap_or(0);
-                if policy.adopt {
-                    step_deg.adopted_partitions += 1;
-                    eth_obs::count("adopted_partitions", 1.0);
-                    // The dead rank may have checkpointed *past* this
-                    // step: sim and viz ranks progress independently, so
-                    // under scheduler skew its proxy cursor can be ahead
-                    // of the adopter. That is fine — the partition
-                    // re-renders from the shared staged store at the
-                    // adopter's own step, not from the cursor.
-                    let notice = AdoptNotice {
-                        dead_rank: sim,
-                        adopted_at_step: step,
-                        adopter: rank,
-                        latency_ns,
-                    };
-                    if rank == root {
-                        // the root adopted its own pair; no wire round-trip
-                        own_notice = Some(notice);
-                    } else {
-                        send_adopt_notice(comm, root, &notice)?;
-                    }
-                }
-            }
-            if policy.adopt {
-                // the adopted partition renders from the shared staged
-                // store, picking up exactly where the checkpoint left off
-                blocks.push(staged.block(step, sim)?);
-            } else {
-                step_deg.dropped_steps += 1;
+        out.phases.transfer_s += t.elapsed().as_secs_f64();
+        if let SimLink::Fabric(comm) = &link {
+            for image in 0..spec.images_per_step {
+                composite_round(plan, comm.as_ref(), step, image, Bytes::new())?;
             }
         }
-        if step_deg.faults() > 0 {
-            if blocks.is_empty() {
-                step_deg.dropped_steps += 1;
-            } else {
-                step_deg.degraded_steps += 1;
-            }
+        if let Some(board) = &plan.board {
+            plan.checkpoints.record(StepCheckpoint {
+                rank: sim,
+                partition: sim,
+                step,
+                proxy_cursor: step + 1,
+                rng_state: spec.seed ^ sim as u64,
+                degradation: out.degradation,
+            });
+            board.step_done(sim, step);
         }
-        phases.transfer_s += t.elapsed().as_secs_f64();
-
-        let pipeline = pipeline_for_step(spec, staged, step);
-        let t_viz = Instant::now();
-        let mut frames: Vec<Framebuffer> = Vec::new();
-        for block in &blocks {
-            let out = pipeline.execute_step(step, block, &staged.bounds[step])?;
-            stats = accumulate(stats, out.stats);
-            if frames.is_empty() {
-                frames = out.frames;
-            } else {
-                for (acc, fb) in frames.iter_mut().zip(&out.frames) {
-                    acc.composite_in(fb);
-                }
-            }
-        }
-        phases.viz_s += t_viz.elapsed().as_secs_f64();
-
-        let t_comp = Instant::now();
-        for image_index in 0..spec.images_per_step {
-            // An empty payload marks "no contribution this frame" so the
-            // root composites around the hole instead of merging a blank.
-            let payload = frames
-                .get(image_index)
-                .map(|fb| Bytes::from(fb.to_bytes()))
-                .unwrap_or_default();
-            let salt = (step * spec.images_per_step + image_index) as u32;
-            let gathered = gather_surviving(
-                comm,
-                root,
-                salt,
-                payload,
-                &|peer| board.is_dead(peer),
-                gather_budget,
-            )?;
-            if let Some(parts) = gathered {
-                let mut slots: Vec<Option<Framebuffer>> = Vec::with_capacity(r);
-                let mut mask = RankMask::none(r);
-                for v in 0..r {
-                    match &parts[r + v] {
-                        Some(raw) if !raw.is_empty() => {
-                            slots.push(Some(Framebuffer::from_bytes(raw).ok_or_else(|| {
-                                CoreError::Config("malformed framebuffer on the wire".into())
-                            })?))
-                        }
-                        Some(_) => slots.push(None),
-                        None => {
-                            slots.push(None);
-                            mask.mark_missing(v);
-                        }
-                    }
-                }
-                let image = if slots.iter().any(Option::is_some) {
-                    let (merged, cstats) = composite_direct_masked(slots, &mask);
-                    step_deg.missing_contributions += cstats.missing_contributions;
-                    merged.into_image()
-                } else {
-                    // every contributor lost this frame: emit a dark image
-                    // rather than wedge or panic
-                    step_deg.missing_contributions += r as u64;
-                    Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO).into_image()
-                };
-                pipeline.write_artifact(step, image_index, &image)?;
-                images.push(image);
-            }
-        }
-        phases.composite_s += t_comp.elapsed().as_secs_f64();
-        degradation.absorb(&step_deg);
-        board.step_done(rank, step);
     }
+    out.bytes_sent = match &link {
+        SimLink::Fabric(comm) => comm.traffic().bytes_sent,
+        SimLink::Socket(chan) => chan.bytes_sent(),
+    };
+    Ok(out)
+}
 
-    // The root drains the control plane: one adoption notice per dead
-    // simulation rank carries the adopter's measured detection-to-adoption
-    // latency. A missing notice falls back to the board's own estimate.
-    if rank == root {
-        for death in board.deaths() {
-            if death.rank >= r {
-                continue;
+/// A visualization rank's end of one wire.
+enum Feed {
+    Staged,
+    Peer,
+    Socket(Box<ChaosChannel>),
+}
+
+/// What one wire delivered for one step.
+enum Intake {
+    Block(DataObject),
+    /// Nothing arrived; the fault is already counted.
+    Lost,
+    /// The sending simulation rank is confirmed dead.
+    Dead,
+}
+
+/// The visualization side of every coupling. Each step: drain every wire
+/// this rank holds (owner or not), account and adopt a confirmed death,
+/// run the step's migration handshakes, render the partitions it owns in
+/// ascending order, and composite at the root, which marks the step.
+fn viz_loop(
+    plan: &Plan,
+    v: usize,
+    comm: &dyn Communicator,
+    layout: Option<&LayoutFile>,
+) -> Result<RankOutput> {
+    let spec = &plan.spec;
+    let id = plan.sims + v;
+    let _beater = plan.beater(id);
+    let adopt = spec.recovery.is_some_and(|r| r.adopt);
+    let mut feeds = Vec::new();
+    for p in (0..spec.ranks).filter(|&p| plan.initial_owners[p] == v) {
+        let feed = match plan.link {
+            Link::Staged => Feed::Staged,
+            Link::Fabric => Feed::Peer,
+            Link::Socket => {
+                // the viz rank announces its own rank on the pair link, so
+                // frames and errors on both ends carry true identities
+                let layout = layout.expect("socket links bootstrap through a layout file");
+                let chan = connect_to(layout, p, v, Duration::from_secs(30))?;
+                Feed::Socket(Box::new(ChaosChannel::new(
+                    chan,
+                    spec.fault_plan.clone().unwrap_or_default(),
+                )))
             }
-            let notice = if root == r + death.rank {
-                own_notice.filter(|n| n.dead_rank == death.rank)
+        };
+        feeds.push((p, feed));
+    }
+    let mut owners = plan.initial_owners.clone();
+    let mut adopted = vec![false; spec.ranks];
+    let mut notices = Vec::new();
+    let mut out = RankOutput::default();
+    for step in 0..spec.steps {
+        let mut deg = Degradation::default();
+        let t = Instant::now();
+        let mut blocks: Vec<Option<DataObject>> = vec![None; spec.ranks];
+        let mut starved = false;
+        for (p, feed) in &feeds {
+            match intake(plan, comm, feed, *p, step, &mut deg)? {
+                Intake::Block(block) => blocks[*p] = Some(block),
+                Intake::Lost => {}
+                Intake::Dead => {
+                    if !adopted[*p] {
+                        adopted[*p] = true;
+                        account_loss(plan, comm, *p, owners[*p], step, &mut deg, &mut notices)?;
+                    }
+                    starved |= !adopt;
+                }
+            }
+        }
+        // Faults (or an unadopted death) with nothing delivered drop the
+        // step; with partial delivery they degrade it. Either way the rank
+        // joins every composite, so one sick link never deadlocks the run.
+        if deg.faults() > 0 || starved {
+            if blocks.iter().all(Option::is_none) {
+                deg.dropped_steps += 1;
+            } else {
+                deg.degraded_steps += 1;
+            }
+        }
+        match plan.link {
+            Link::Staged => out.phases.sim_s += t.elapsed().as_secs_f64(),
+            _ => out.phases.transfer_s += t.elapsed().as_secs_f64(),
+        }
+
+        // After intake, so a death racing a migration is already on the board.
+        migrate_handshakes(
+            plan,
+            comm,
+            &mut owners,
+            v,
+            step,
+            &mut deg,
+            &mut out.migration_disruption_s,
+        )?;
+
+        let pipeline = pipeline_for_step(spec, &plan.staged, step);
+        let t = Instant::now();
+        let mut rendered: Vec<(usize, Vec<Framebuffer>)> = Vec::new();
+        let mut holes = 0;
+        for p in (0..spec.ranks).filter(|&p| owners[p] == v) {
+            let block = match blocks[p].take() {
+                Some(block) => block,
+                // An adopted dead partition, or one migrated in (its wire is
+                // drained elsewhere): the shared staged store is
+                // byte-identical to the wire block.
+                None if plan.is_dead(p) && adopt
+                    || !plan.is_dead(p) && plan.initial_owners[p] != v =>
+                {
+                    plan.staged.block(step, p)?
+                }
+                // lost on its wire, or dead and not adopted: a hole
+                None => {
+                    holes += 1;
+                    continue;
+                }
+            };
+            let frame = pipeline.execute_step(step, &block, &plan.staged.bounds[step])?;
+            out.stats = accumulate(out.stats, frame.stats);
+            rendered.push((p, frame.frames));
+        }
+        if plan.board.is_some() {
+            deg.missing_contributions += holes * spec.images_per_step as u64;
+        }
+        out.phases.viz_s += t.elapsed().as_secs_f64();
+
+        let t = Instant::now();
+        for (image_index, payload) in contributions(spec, rendered).enumerate() {
+            if let Some(parts) = composite_round(plan, comm, step, image_index, payload)? {
+                let image = composite_at_root(plan, &parts, &mut deg)?;
+                pipeline.write_artifact(step, image_index, &image)?;
+                out.images.push(image);
+            }
+        }
+        out.phases.composite_s += t.elapsed().as_secs_f64();
+        // The composite root closing a step is the frame boundary the
+        // critical-path walk in `eth_obs::merge` attributes backwards from.
+        if comm.rank() == plan.root {
+            eth_obs::step_mark(step as u64);
+        }
+        out.degradation.absorb(&deg);
+        if let Some(board) = plan.on_board(id) {
+            board.step_done(id, step);
+        }
+    }
+    // The root drains the control plane: one adoption notice per dead
+    // simulation rank, from the rank draining its wire, carries the
+    // measured detection-to-adoption latency; a missing notice falls back
+    // to the board's own estimate.
+    if let (Some(board), Some(policy)) = (plan.board.as_ref().filter(|_| v == 0), spec.recovery) {
+        for death in board.deaths().into_iter().filter(|d| d.rank < plan.sims) {
+            let drainer = plan.initial_owners[death.rank];
+            let notice = if drainer == v {
+                notices.iter().find(|n| n.dead_rank == death.rank).copied()
             } else if policy.adopt {
-                recv_adopt_notice(comm, r + death.rank, death.rank, detection * 4).ok()
+                let wait = policy.heartbeat.detection_deadline() * 4;
+                recv_adopt_notice(comm, plan.root + drainer, death.rank, wait).ok()
             } else {
                 None
             };
-            let latency = notice
-                .map(|n| n.latency_ns as f64 * 1e-9)
-                .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-            recovery_latency_s.push(latency);
+            out.recovery_latency_s.push(
+                notice
+                    .map(|n| n.latency_ns as f64 * 1e-9)
+                    .unwrap_or_else(|| death.detection_latency().as_secs_f64()),
+            );
             eth_obs::count("adopt_notices", 1.0);
         }
     }
+    out.bytes_sent = comm.traffic().bytes_sent;
+    for (_, feed) in &feeds {
+        if let Feed::Socket(chan) = feed {
+            out.bytes_sent += chan.bytes_sent();
+        }
+    }
+    Ok(out)
+}
 
-    Ok(RankOutput {
-        images,
-        stats,
-        phases,
-        bytes_sent: comm.traffic().bytes_sent,
-        degradation,
-        recovery_latency_s,
-        migration_disruption_s: Vec::new(),
-    })
+/// Take partition `p`'s block for `step` off its wire. Without liveness
+/// the receive runs to the fault plan's deadline. With it, a missing block
+/// is either a lost message or a death in progress, so the receive runs in
+/// slices a bit past the detection deadline, re-checking liveness between
+/// slices: a slow-but-alive sender gets the full budget, a confirmed death
+/// resolves in O(detection).
+fn intake(
+    plan: &Plan,
+    comm: &dyn Communicator,
+    feed: &Feed,
+    p: usize,
+    step: usize,
+    deg: &mut Degradation,
+) -> Result<Intake> {
+    let spec = &plan.spec;
+    let recv = |timeout: Option<Duration>| match (feed, timeout) {
+        (Feed::Socket(chan), Some(t)) => chan.recv_timeout(data_tag(step), t),
+        (Feed::Socket(chan), None) => chan.recv(data_tag(step)),
+        (_, Some(t)) => comm.recv_timeout(p, data_tag(step), t),
+        (_, None) => comm.recv(p, data_tag(step)),
+    };
+    let tolerant = spec.fault_plan.is_some() || plan.board.is_some();
+    let received = match (feed, &plan.board, spec.recovery) {
+        // "simulation": the proxy presents its block (a copy, as a real
+        // proxy's load would be)
+        (Feed::Staged, _, _) => return Ok(Intake::Block(plan.staged.block(step, p)?)),
+        (_, Some(board), Some(policy)) => {
+            let wait = policy.heartbeat.detection_deadline() * 2 + Duration::from_millis(25);
+            let budget = spec
+                .fault_plan
+                .as_ref()
+                .and_then(|f| f.deadline())
+                .unwrap_or(Duration::from_secs(2))
+                .max(wait);
+            let deadline = Instant::now() + budget;
+            loop {
+                if board.is_dead(p) {
+                    return Ok(Intake::Dead);
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    deg.timeouts += 1;
+                    return Ok(Intake::Lost);
+                }
+                match recv(Some(wait.min(deadline - now))) {
+                    Err(TransportError::Timeout { .. }) => continue,
+                    Err(_) if board.is_dead(p) => return Ok(Intake::Dead),
+                    received => break received,
+                }
+            }
+        }
+        _ => recv(None),
+    };
+    match received.map(|payload| decode_block(spec, p, payload)) {
+        Ok(Ok(block)) => Ok(Intake::Block(block)),
+        Ok(Err(_)) if tolerant => {
+            deg.corrupt_payloads += 1;
+            Ok(Intake::Lost)
+        }
+        Ok(Err(e)) => Err(e),
+        Err(e) if tolerant => {
+            deg.count(&e);
+            Ok(Intake::Lost)
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Account a confirmed death of partition `p`'s simulation rank, once, at
+/// the rank draining its wire. With adoption on, the partition's owner
+/// renders it from the shared staged store from here on, and the root
+/// learns the detection-to-adoption latency from an [`AdoptNotice`].
+fn account_loss(
+    plan: &Plan,
+    comm: &dyn Communicator,
+    p: usize,
+    owner: usize,
+    step: usize,
+    deg: &mut Degradation,
+    notices: &mut Vec<AdoptNotice>,
+) -> Result<()> {
+    let _span = eth_obs::span(eth_obs::Phase::Recovery);
+    deg.rank_losses += 1;
+    eth_obs::count("rank_losses", 1.0);
+    let (Some(board), Some(true)) = (&plan.board, plan.spec.recovery.map(|r| r.adopt)) else {
+        return Ok(());
+    };
+    deg.adopted_partitions += 1;
+    eth_obs::count("adopted_partitions", 1.0);
+    // The dead rank may have checkpointed past this step (sim and viz ranks
+    // progress independently); adoption renders from the shared staged
+    // store at the adopter's own step regardless.
+    let notice = AdoptNotice {
+        dead_rank: p,
+        adopted_at_step: step,
+        adopter: plan.root + owner,
+        latency_ns: board
+            .death_of(p)
+            .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
+            .unwrap_or(0),
+    };
+    if comm.rank() == plan.root {
+        notices.push(notice);
+    } else {
+        send_adopt_notice(comm, plan.root, &notice)?;
+    }
+    Ok(())
+}
+
+/// One composite gather to the root; the root gets every fabric rank's
+/// slot, `None` for a contributor lost to death or deadline. Where the
+/// fabric hosts simulation ranks a kill can take down (intercore under
+/// liveness), the gather skips the dead instead of blocking on them.
+fn composite_round(
+    plan: &Plan,
+    comm: &dyn Communicator,
+    step: usize,
+    image: usize,
+    payload: Bytes,
+) -> Result<Option<Vec<Option<Bytes>>>> {
+    match &plan.board {
+        Some(board) if plan.link == Link::Fabric => {
+            let salt = (step * plan.spec.images_per_step + image) as u32;
+            let is_dead = |peer| board.is_dead(peer);
+            let budget = recovery_deadline(&plan.spec);
+            Ok(gather_surviving(
+                comm, plan.root, salt, payload, &is_dead, budget,
+            )?)
+        }
+        _ => Ok(
+            gather(comm, plan.root, payload)?.map(|parts| parts.into_iter().map(Some).collect())
+        ),
+    }
+}
+
+/// A rank's composite payload per image. While ownership is static it is
+/// the rank's raw framebuffer: its partitions depth-merged locally, or a
+/// blank frame when it rendered nothing (a rank with no wire still joins
+/// every gather). Under a migration plan it is framed `(partition,
+/// framebuffer)` entries, empty when nothing rendered, so the root can
+/// composite in partition order whoever rendered what. Payloads are
+/// encoded one image at a time, as the gathers consume them.
+fn contributions(
+    spec: &ExperimentSpec,
+    rendered: Vec<(usize, Vec<Framebuffer>)>,
+) -> Box<dyn Iterator<Item = Bytes>> {
+    if spec.migration.is_some() {
+        return Box::new((0..spec.images_per_step).map(move |i| {
+            let entries: Vec<(usize, &Framebuffer)> = rendered
+                .iter()
+                .filter_map(|(p, frames)| frames.get(i).map(|fb| (*p, fb)))
+                .collect();
+            if entries.is_empty() {
+                Bytes::new()
+            } else {
+                encode_contribution(&entries)
+            }
+        }));
+    }
+    let mut parts = rendered.into_iter().map(|(_, frames)| frames);
+    let mut merged = parts.next().unwrap_or_else(|| {
+        (0..spec.images_per_step)
+            .map(|_| Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO))
+            .collect()
+    });
+    for frames in parts {
+        for (acc, fb) in merged.iter_mut().zip(&frames) {
+            acc.composite_in(fb);
+        }
+    }
+    Box::new(merged.into_iter().map(|fb| Bytes::from(fb.to_bytes())))
+}
+
+/// Composite one gathered image at the root. Visualization contributors
+/// lost in the gather count as missing contributions; an image nobody
+/// contributed to comes out dark rather than panicking.
+fn composite_at_root(plan: &Plan, parts: &[Option<Bytes>], deg: &mut Degradation) -> Result<Image> {
+    let spec = &plan.spec;
+    let viz = &parts[plan.root..];
+    deg.missing_contributions += viz.iter().filter(|part| part.is_none()).count() as u64;
+    let present = viz.iter().flatten().filter(|raw| !raw.is_empty());
+    let merged = if spec.migration.is_some() {
+        let mut contribs = Vec::new();
+        for raw in present {
+            contribs.extend(decode_contribution(raw)?);
+        }
+        (!contribs.is_empty()).then(|| composite_owned(spec.ranks, contribs).0)
+    } else {
+        let buffers: Vec<Framebuffer> = present
+            .map(|raw| {
+                Framebuffer::from_bytes(raw)
+                    .ok_or_else(|| CoreError::Config("malformed framebuffer on the wire".into()))
+            })
+            .collect::<Result<_>>()?;
+        (!buffers.is_empty()).then(|| composite_direct(buffers).0)
+    };
+    let merged =
+        merged.unwrap_or_else(|| Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO));
+    Ok(merged.into_image())
 }
 
 /// Encode one visualization rank's contribution to a composite as a
@@ -1674,29 +1709,6 @@ fn decode_contribution(raw: &[u8]) -> Result<Vec<(usize, Framebuffer)>> {
     Ok(entries)
 }
 
-/// Decode a gather of framed contributions and composite them in
-/// partition order; an empty round (every contributor lost) yields a dark
-/// frame rather than a panic. Returns the image plus the contributor
-/// holes the root composited around.
-fn composite_contributions<'a>(
-    spec: &ExperimentSpec,
-    parts: impl Iterator<Item = &'a Bytes>,
-) -> Result<(Image, u64)> {
-    let mut contribs = Vec::new();
-    for part in parts {
-        if part.is_empty() {
-            continue;
-        }
-        contribs.extend(decode_contribution(part)?);
-    }
-    if contribs.is_empty() {
-        let dark = Framebuffer::new(spec.width, spec.height, eth_data::Vec3::ZERO);
-        return Ok((dark.into_image(), spec.ranks as u64));
-    }
-    let (merged, cstats) = composite_owned(spec.ranks, contribs);
-    Ok((merged.into_image(), cstats.missing_contributions))
-}
-
 /// The fallback handoff state when the partition has no checkpoint yet
 /// (a migration scheduled before the first step completed).
 fn synthetic_checkpoint(spec: &ExperimentSpec, partition: usize, step: usize) -> StepCheckpoint {
@@ -1722,27 +1734,24 @@ fn synthetic_checkpoint(spec: &ExperimentSpec, partition: usize, step: usize) ->
 /// before the handshake, and a killed simulation rank parks until the
 /// board confirms its death, so by offer time `board.is_dead` already
 /// reflects any death scheduled at or before this step.
-#[allow(clippy::too_many_arguments)]
 fn migrate_handshakes(
-    spec: &ExperimentSpec,
+    plan: &Plan,
     comm: &dyn Communicator,
-    is_dead: &dyn Fn(usize) -> bool,
-    checkpoints: &CheckpointStore,
-    book: &MigrationBook,
-    handoffs: &[Handoff],
     owners: &mut [usize],
     me: usize,
     step: usize,
-    fabric: &dyn Fn(usize) -> usize,
     deg: &mut Degradation,
     disruption: &mut Vec<f64>,
 ) -> Result<()> {
+    let (spec, book) = (&plan.spec, &plan.book);
+    let is_dead = |p| plan.is_dead(p);
+    let fabric = |viz| plan.root + viz;
     let timeout = spec
         .migration
         .as_ref()
         .map(|plan| plan.handoff_timeout())
         .unwrap_or(Duration::from_secs(1));
-    for (index, h) in handoffs.iter().enumerate() {
+    for (index, h) in plan.handoffs.iter().enumerate() {
         if h.step != step {
             continue;
         }
@@ -1757,10 +1766,13 @@ fn migrate_handshakes(
                 disruption.push(t.elapsed().as_secs_f64());
                 continue;
             }
-            let state = checkpoints
+            let state = plan
+                .checkpoints
                 .latest(h.partition)
                 .unwrap_or_else(|| synthetic_checkpoint(spec, h.partition, step));
-            let payload = serde_json::to_vec(&state).map(Bytes::from).unwrap_or_default();
+            let payload = serde_json::to_vec(&state)
+                .map(Bytes::from)
+                .unwrap_or_default();
             let offer = MigrateOffer {
                 handoff: index,
                 partition: h.partition,
@@ -1769,7 +1781,9 @@ fn migrate_handshakes(
             };
             send_migrate_offer(comm, fabric(h.to), &offer, payload)?;
             match recv_migrate_ack(comm, fabric(h.to), index, timeout) {
-                Ok(MigrateAck { committed: true, .. }) => {
+                Ok(MigrateAck {
+                    committed: true, ..
+                }) => {
                     owners[h.partition] = h.to;
                     deg.migrations += 1;
                     eth_obs::count("migrations", 1.0);
@@ -1825,1061 +1839,6 @@ fn migrate_handshakes(
         }
     }
     Ok(())
-}
-
-/// Intercore coupling under a [`crate::config::MigrationPlan`]: the
-/// recovering 2R-rank fabric plus voluntary, zero-loss partition handoffs
-/// between visualization ranks. The simulation side is exactly the
-/// recovering one. Every visualization rank always drains its wire pair
-/// (identical backpressure and fault accounting to a run without
-/// migration) but renders only the partitions it currently *owns* —
-/// migrated-in partitions render from the shared staged store, which is
-/// byte-identical to the wire block — and composites through framed
-/// per-partition contributions.
-fn run_intercore_migrating(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: RecoveryPolicy,
-) -> Result<Vec<RankOutput>> {
-    let r = spec.ranks;
-    let spec_body = spec.clone();
-    let staged = staged.clone();
-    let checkpoints = Arc::new(CheckpointStore::new(r));
-    let handoffs = spec.migration_handoffs();
-    let book = MigrationBook::new(handoffs.len());
-    run_ranks_recovering(spec, policy, 2 * r, move |comm, board| -> Result<RankOutput> {
-        let spec = &spec_body;
-        let rank = comm.rank();
-        let comm: Box<dyn Communicator> = match spec.fault_plan.clone() {
-            Some(plan) => Box::new(ChaosComm::new(comm, plan)),
-            None => Box::new(comm),
-        };
-        let comm = comm.as_ref();
-        let mut beater = Beater::spawn(&board, rank, policy.heartbeat);
-        if rank < r {
-            intercore_sim_recovering(spec, comm, &board, &staged, &checkpoints, &mut beater)
-        } else {
-            intercore_viz_migrating(
-                spec,
-                policy,
-                comm,
-                &board,
-                &staged,
-                &checkpoints,
-                &book,
-                &handoffs,
-            )
-        }
-    })
-}
-
-/// The visualization side of a migrating intercore run. Step shape:
-/// drain the wire pair, run this step's handshakes (intake first, so a
-/// death racing a migration is already on the board), render the owned
-/// partitions in ascending order, then gather framed contributions to
-/// the root for the ownership-mapped composite.
-#[allow(clippy::too_many_arguments)]
-fn intercore_viz_migrating(
-    spec: &ExperimentSpec,
-    policy: RecoveryPolicy,
-    comm: &dyn Communicator,
-    board: &Arc<HeartbeatBoard>,
-    staged: &StagedData,
-    checkpoints: &CheckpointStore,
-    book: &MigrationBook,
-    handoffs: &[Handoff],
-) -> Result<RankOutput> {
-    let r = spec.ranks;
-    let root = r;
-    let rank = comm.rank();
-    let me = rank - r; // viz index == initially owned partition
-    let detection = policy.heartbeat.detection_deadline();
-    let wait = detection * 2 + Duration::from_millis(25);
-    let recv_budget = spec
-        .fault_plan
-        .as_ref()
-        .and_then(|p| p.deadline())
-        .unwrap_or(Duration::from_secs(2))
-        .max(wait);
-    let gather_budget = recovery_deadline(spec);
-    let mut owners: Vec<usize> = (0..r).map(|p| spec.initial_owner(p)).collect();
-    let mut images = Vec::new();
-    let mut stats = RenderStats::default();
-    let mut phases = PhaseTimes::default();
-    let mut degradation = Degradation::default();
-    let mut recovery_latency_s = Vec::new();
-    let mut migration_disruption_s = Vec::new();
-    let mut adopted = false;
-    let mut own_notice: Option<AdoptNotice> = None;
-
-    for step in 0..spec.steps {
-        let t = Instant::now();
-        let mut step_deg = Degradation::default();
-
-        // 1. Intake: always drain the wire pair, owner or not.
-        let mut wire_block = None;
-        if !adopted && !board.is_dead(me) {
-            let deadline = Instant::now() + recv_budget;
-            loop {
-                if board.is_dead(me) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    step_deg.timeouts += 1;
-                    break;
-                }
-                match comm.recv_timeout(me, DATA_TAG_BASE + step as u32, wait.min(deadline - now)) {
-                    Ok(payload) => {
-                        match decode_block(spec, me, payload) {
-                            Ok(block) => wire_block = Some(block),
-                            Err(_) => step_deg.corrupt_payloads += 1,
-                        }
-                        break;
-                    }
-                    Err(TransportError::Timeout { .. }) => continue,
-                    Err(e) => {
-                        if !board.is_dead(me) {
-                            step_deg.count(&e);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        if wire_block.is_none() && board.is_dead(me) && !adopted {
-            // The drainer accounts the loss exactly once; the partition's
-            // *current* owner (maybe another rank, post-migration) keeps
-            // rendering it from the shared staged store.
-            let _span = eth_obs::span(eth_obs::Phase::Recovery);
-            adopted = true;
-            step_deg.rank_losses += 1;
-            eth_obs::count("rank_losses", 1.0);
-            let latency_ns = board
-                .death_of(me)
-                .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
-                .unwrap_or(0);
-            if policy.adopt {
-                step_deg.adopted_partitions += 1;
-                eth_obs::count("adopted_partitions", 1.0);
-                let notice = AdoptNotice {
-                    dead_rank: me,
-                    adopted_at_step: step,
-                    adopter: r + owners[me],
-                    latency_ns,
-                };
-                if rank == root {
-                    own_notice = Some(notice);
-                } else {
-                    send_adopt_notice(comm, root, &notice)?;
-                }
-            }
-        }
-        if step_deg.faults() > 0 {
-            if wire_block.is_none() {
-                step_deg.dropped_steps += 1;
-            } else {
-                step_deg.degraded_steps += 1;
-            }
-        }
-        phases.transfer_s += t.elapsed().as_secs_f64();
-
-        // 2. This step's handshakes (after intake: death wins the race).
-        migrate_handshakes(
-            spec,
-            comm,
-            &|p| board.is_dead(p),
-            checkpoints,
-            book,
-            handoffs,
-            &mut owners,
-            me,
-            step,
-            &|viz| r + viz,
-            &mut step_deg,
-            &mut migration_disruption_s,
-        )?;
-
-        // 3. Render the owned partitions, each one separately so the
-        //    composite can place it by partition id.
-        let pipeline = pipeline_for_step(spec, staged, step);
-        let t_viz = Instant::now();
-        let mut rendered: Vec<(usize, Vec<Framebuffer>)> = Vec::new();
-        for (p, &owner) in owners.iter().enumerate() {
-            if owner != me {
-                continue;
-            }
-            let block = if p == me && wire_block.is_some() {
-                wire_block.take().unwrap()
-            } else if board.is_dead(p) || p != me {
-                // dead pair (adoption) or migrated-in partition: the
-                // shared staged store is byte-identical to the wire block
-                if board.is_dead(p) && !policy.adopt {
-                    continue; // the hole is counted at the composite
-                }
-                staged.block(step, p)?
-            } else {
-                // own pair, alive, but the message was lost: a hole
-                continue;
-            };
-            let out = pipeline.execute_step(step, &block, &staged.bounds[step])?;
-            stats = accumulate(stats, out.stats);
-            rendered.push((p, out.frames));
-        }
-        phases.viz_s += t_viz.elapsed().as_secs_f64();
-
-        // 4. Framed gather and ownership-mapped composite at the root.
-        let t_comp = Instant::now();
-        for image_index in 0..spec.images_per_step {
-            let entries: Vec<(usize, &Framebuffer)> = rendered
-                .iter()
-                .filter_map(|(p, frames)| frames.get(image_index).map(|fb| (*p, fb)))
-                .collect();
-            let payload = if entries.is_empty() {
-                Bytes::new()
-            } else {
-                encode_contribution(&entries)
-            };
-            let salt = (step * spec.images_per_step + image_index) as u32;
-            let gathered = gather_surviving(
-                comm,
-                root,
-                salt,
-                payload,
-                &|peer| board.is_dead(peer),
-                gather_budget,
-            )?;
-            if let Some(parts) = gathered {
-                let (image, missing) = composite_contributions(spec, parts.iter().flatten())?;
-                step_deg.missing_contributions += missing;
-                pipeline.write_artifact(step, image_index, &image)?;
-                images.push(image);
-            }
-        }
-        phases.composite_s += t_comp.elapsed().as_secs_f64();
-        degradation.absorb(&step_deg);
-        board.step_done(rank, step);
-    }
-
-    // The root drains the control plane exactly as the recovering path.
-    if rank == root {
-        for death in board.deaths() {
-            if death.rank >= r {
-                continue;
-            }
-            let notice = if root == r + death.rank {
-                own_notice.filter(|n| n.dead_rank == death.rank)
-            } else if policy.adopt {
-                recv_adopt_notice(comm, r + death.rank, death.rank, detection * 4).ok()
-            } else {
-                None
-            };
-            let latency = notice
-                .map(|n| n.latency_ns as f64 * 1e-9)
-                .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-            recovery_latency_s.push(latency);
-            eth_obs::count("adopt_notices", 1.0);
-        }
-    }
-
-    Ok(RankOutput {
-        images,
-        stats,
-        phases,
-        bytes_sent: comm.traffic().bytes_sent,
-        degradation,
-        recovery_latency_s,
-        migration_disruption_s,
-    })
-}
-
-fn run_internode(spec: &ExperimentSpec, staged: &Arc<StagedData>) -> Result<Vec<RankOutput>> {
-    use eth_transport::local::LocalFabric;
-    use std::thread;
-
-    if spec.migration.is_some() {
-        let policy = spec.recovery.expect("validated: migration requires recovery");
-        return run_internode_migrating(spec, staged, policy);
-    }
-    if let Some(policy) = spec.recovery {
-        return run_internode_recovering(spec, staged, policy);
-    }
-    let r = spec.ranks;
-    // Layout file in a fresh temp dir per run. The counter keeps dirs
-    // distinct when a campaign runs same-named internode points
-    // concurrently in one process.
-    static LAYOUT_RUN: AtomicU64 = AtomicU64::new(0);
-    let layout_dir = std::env::temp_dir().join(format!(
-        "eth-layout-{}-{:x}-{}",
-        spec.name.replace('/', "_"),
-        std::process::id(),
-        LAYOUT_RUN.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    let layout = LayoutFile::create(&layout_dir)?;
-
-    // Raw spawns don't inherit the caller's recorder sinks the way
-    // run_ranks does, so hand the context across and claim rank ids on
-    // the run's modeled node layout: sim ranks 0..R, viz ranks R..R+V.
-    let obs = eth_obs::current_context();
-    // Visualization application: viz ranks connect through the layout
-    // file, and composite among themselves over a local fabric.
-    // With an asymmetric layout (spec.viz_ranks != ranks), viz rank v
-    // serves the sim ranks {s : s % viz_count == v} and merges their
-    // blocks locally before compositing.
-    // Spawned before the simulation side so their bootstrap waits show
-    // up inside covered connect_to spans instead of as unattributable
-    // pre-spawn idle when the box is oversubscribed.
-    let viz_count = spec.viz_ranks.unwrap_or(r).max(1);
-    let viz_comms = LocalFabric::new(viz_count);
-    let mut viz_handles = Vec::new();
-    for (rank, comm) in viz_comms.into_iter().enumerate() {
-        let layout = layout.clone();
-        let spec = spec.clone();
-        let staged = staged.clone();
-        let my_sims: Vec<usize> = (0..r).filter(|s| s % viz_count == rank).collect();
-        let obs = obs.clone();
-        viz_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(r + rank);
-            let tolerant = spec.fault_plan.is_some();
-            let plan = spec.fault_plan.clone().unwrap_or_default();
-            let mut chans = Vec::with_capacity(my_sims.len());
-            for &sim_rank in &my_sims {
-                // the viz rank announces its own rank on the pair link, so
-                // frames and errors on both ends carry true identities
-                let chan = connect_to(&layout, sim_rank, rank, Duration::from_secs(30))?;
-                chans.push(ChaosChannel::new(chan, plan.clone()));
-            }
-            let mut out = viz_side(&spec, &comm, 0, &staged, |step| {
-                let t = Instant::now();
-                let mut deg = Degradation::default();
-                let mut blocks = Vec::with_capacity(chans.len());
-                for (chan, &sim_rank) in chans.iter().zip(&my_sims) {
-                    // the chaos wrapper applies the plan's receive
-                    // deadline: a silent or dead sim rank costs one
-                    // deadline, not the whole run
-                    match chan.recv(DATA_TAG_BASE + step as u32) {
-                        Ok(payload) => match decode_block(&spec, sim_rank, payload) {
-                            Ok(block) => blocks.push(block),
-                            Err(_) if tolerant => deg.corrupt_payloads += 1,
-                            Err(e) => return Err(e),
-                        },
-                        Err(e) if tolerant => deg.count(&e),
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                Ok(StepIntake {
-                    blocks,
-                    sim_time: Duration::ZERO,
-                    transfer_time: t.elapsed(),
-                    degradation: deg,
-                })
-            })?;
-            for chan in &chans {
-                out.bytes_sent += chan.bytes_sent();
-            }
-            Ok(out)
-        }));
-    }
-
-    // Simulation application: each rank publishes, listens, then streams
-    // its blocks to the paired visualization rank. The pair link always
-    // goes through the chaos wrapper; with no plan it is a passthrough.
-    let mut sim_handles = Vec::new();
-    for rank in 0..r {
-        let staged = staged.clone();
-        let layout = layout.clone();
-        let spec_sim = spec.clone();
-        let obs = obs.clone();
-        sim_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(rank);
-            let tolerant = spec_sim.fault_plan.is_some();
-            let chan = ChaosChannel::new(
-                listen_as(&layout, rank)?,
-                spec_sim.fault_plan.clone().unwrap_or_default(),
-            );
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            for step in 0..spec_sim.steps {
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                let payload = encode_block(&spec_sim, &block);
-                phases.sim_s += t.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                match chan.send(DATA_TAG_BASE + step as u32, payload) {
-                    Ok(()) => {}
-                    Err(e) if tolerant => {
-                        // the viz link is gone: the simulation keeps its
-                        // remaining steps to itself instead of dying
-                        degradation.count(&e);
-                        break;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-                phases.transfer_s += t2.elapsed().as_secs_f64();
-            }
-            Ok(RankOutput {
-                images: Vec::new(),
-                stats: RenderStats::default(),
-                phases,
-                bytes_sent: chan.bytes_sent(),
-                degradation,
-                recovery_latency_s: Vec::new(),
-                migration_disruption_s: Vec::new(),
-            })
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    for h in sim_handles.into_iter().chain(viz_handles) {
-        match h.join() {
-            Ok(result) => outputs.push(result?),
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    Ok(outputs)
-}
-
-/// Internode coupling under a [`RecoveryPolicy`]. The simulation ranks beat
-/// a [`HeartbeatBoard`] watched by a supervisor thread; a scripted kill
-/// silences one and the supervisor declares it dead in
-/// O(detection deadline). The owning visualization rank adopts the dead
-/// rank's partition from its last step checkpoint (spilled through the
-/// journal when an artifact directory is set) and the run completes
-/// without a campaign-level retry.
-fn run_internode_recovering(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: RecoveryPolicy,
-) -> Result<Vec<RankOutput>> {
-    use eth_transport::local::LocalFabric;
-    use eth_transport::runner::{spawn_supervisor, RankFailure};
-    use std::thread;
-
-    let r = spec.ranks;
-    static LAYOUT_RUN: AtomicU64 = AtomicU64::new(0);
-    let layout_dir = std::env::temp_dir().join(format!(
-        "eth-layout-rec-{}-{:x}-{}",
-        spec.name.replace('/', "_"),
-        std::process::id(),
-        LAYOUT_RUN.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    let layout = LayoutFile::create(&layout_dir)?;
-
-    // Liveness covers the simulation application: those are the ranks a
-    // scripted kill can take down mid-run. The supervisor thread declares
-    // deaths; viz ranks only consult the board.
-    let board = HeartbeatBoard::new(r);
-    let supervisor = spawn_supervisor(&board, policy.heartbeat);
-    // Step checkpoints spill through the journal WAL when the run keeps
-    // artifacts, so a post-mortem can replay the adoption decision.
-    let checkpoints = Arc::new(match &spec.artifact_dir {
-        Some(dir) => match crate::journal::Journal::open(&dir.join("recovery")) {
-            Ok(journal) => CheckpointStore::with_spill(r, journal),
-            Err(_) => CheckpointStore::new(r),
-        },
-        None => CheckpointStore::new(r),
-    });
-
-    let obs = eth_obs::current_context();
-    let mut sim_handles = Vec::new();
-    for rank in 0..r {
-        let staged = staged.clone();
-        let layout = layout.clone();
-        let spec_sim = spec.clone();
-        let obs = obs.clone();
-        let board = board.clone();
-        let checkpoints = checkpoints.clone();
-        sim_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(rank);
-            let plan = spec_sim.fault_plan.clone().unwrap_or_default();
-            let chan = ChaosChannel::new(listen_as(&layout, rank)?, plan.clone());
-            let mut beater = Beater::spawn(&board, rank, policy.heartbeat);
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            for step in 0..spec_sim.steps {
-                if plan.kills(rank, step) {
-                    // Fall silent and wait for the supervisor's verdict;
-                    // dropping `chan` afterwards snaps the pair link, so
-                    // the viz side sees Disconnected rather than a stall.
-                    beater.silence();
-                    board.await_death(rank, recovery_deadline(&spec_sim));
-                    return Ok(RankOutput::tombstone());
-                }
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                let payload = encode_block(&spec_sim, &block);
-                phases.sim_s += t.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                match chan.send(DATA_TAG_BASE + step as u32, payload) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        // the viz link is gone: keep the remaining steps
-                        // local instead of dying
-                        degradation.count(&e);
-                        break;
-                    }
-                }
-                phases.transfer_s += t2.elapsed().as_secs_f64();
-                checkpoints.record(StepCheckpoint {
-                    rank,
-                    partition: rank,
-                    step,
-                    proxy_cursor: step + 1,
-                    rng_state: spec_sim.seed ^ rank as u64,
-                    degradation,
-                });
-                board.step_done(rank, step);
-            }
-            // an un-killed rank must report completion or the supervisor
-            // would read its silence as a death
-            board.mark_done(rank);
-            Ok(RankOutput {
-                images: Vec::new(),
-                stats: RenderStats::default(),
-                phases,
-                bytes_sent: chan.bytes_sent(),
-                degradation,
-                recovery_latency_s: Vec::new(),
-                migration_disruption_s: Vec::new(),
-            })
-        }));
-    }
-
-    let viz_count = spec.viz_ranks.unwrap_or(r).max(1);
-    let viz_comms = LocalFabric::new(viz_count);
-    let mut viz_handles = Vec::new();
-    for (rank, comm) in viz_comms.into_iter().enumerate() {
-        let layout = layout.clone();
-        let spec = spec.clone();
-        let staged = staged.clone();
-        let my_sims: Vec<usize> = (0..r).filter(|s| s % viz_count == rank).collect();
-        let obs = obs.clone();
-        let board = board.clone();
-        viz_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(r + rank);
-            let plan = spec.fault_plan.clone().unwrap_or_default();
-            let detection = policy.heartbeat.detection_deadline();
-            let wait = detection * 2 + Duration::from_millis(25);
-            let recv_budget = plan
-                .deadline()
-                .unwrap_or(Duration::from_secs(2))
-                .max(wait);
-            let mut chans = Vec::with_capacity(my_sims.len());
-            for &sim_rank in &my_sims {
-                let chan = connect_to(&layout, sim_rank, rank, Duration::from_secs(30))?;
-                chans.push(ChaosChannel::new(chan, plan.clone()));
-            }
-            let mut adopted = vec![false; my_sims.len()];
-            let mut local_notices: Vec<AdoptNotice> = Vec::new();
-            let mut out = viz_side(&spec, &comm, 0, &staged, |step| {
-                let t = Instant::now();
-                let mut deg = Degradation::default();
-                let mut blocks = Vec::with_capacity(chans.len());
-                for (i, (chan, &sim)) in chans.iter().zip(&my_sims).enumerate() {
-                    if !adopted[i] && !board.is_dead(sim) {
-                        // Sliced receive, re-checking liveness between
-                        // slices: a slow-but-alive sim gets the full
-                        // budget, a confirmed death adopts in O(detection).
-                        let deadline = Instant::now() + recv_budget;
-                        let mut delivered = false;
-                        loop {
-                            if board.is_dead(sim) {
-                                break;
-                            }
-                            let now = Instant::now();
-                            if now >= deadline {
-                                deg.timeouts += 1;
-                                deg.missing_contributions += 1;
-                                delivered = true; // budget spent; not a death
-                                break;
-                            }
-                            match chan
-                                .recv_timeout(DATA_TAG_BASE + step as u32, wait.min(deadline - now))
-                            {
-                                Ok(payload) => {
-                                    match decode_block(&spec, sim, payload) {
-                                        Ok(block) => blocks.push(block),
-                                        Err(_) => {
-                                            deg.corrupt_payloads += 1;
-                                            deg.missing_contributions += 1;
-                                        }
-                                    }
-                                    delivered = true;
-                                    break;
-                                }
-                                Err(TransportError::Timeout { .. }) => continue,
-                                Err(e) => {
-                                    if !board.is_dead(sim) {
-                                        deg.count(&e);
-                                        deg.missing_contributions += 1;
-                                        delivered = true;
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        if delivered {
-                            continue;
-                        }
-                    }
-                    if board.is_dead(sim) {
-                        if !adopted[i] {
-                            let _span = eth_obs::span(eth_obs::Phase::Recovery);
-                            adopted[i] = true;
-                            deg.rank_losses += 1;
-                            eth_obs::count("rank_losses", 1.0);
-                            let latency_ns = board
-                                .death_of(sim)
-                                .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
-                                .unwrap_or(0);
-                            if policy.adopt {
-                                deg.adopted_partitions += 1;
-                                eth_obs::count("adopted_partitions", 1.0);
-                                // The dead rank's checkpoint cursor may be
-                                // ahead of this step under scheduler skew;
-                                // adoption renders from the shared staged
-                                // store at the adopter's step regardless.
-                                let notice = AdoptNotice {
-                                    dead_rank: sim,
-                                    adopted_at_step: step,
-                                    adopter: r + rank,
-                                    latency_ns,
-                                };
-                                if rank == 0 {
-                                    local_notices.push(notice);
-                                } else {
-                                    send_adopt_notice(&comm, 0, &notice)?;
-                                }
-                            }
-                        }
-                        if policy.adopt {
-                            blocks.push(staged.block(step, sim)?);
-                        } else {
-                            deg.missing_contributions += 1;
-                        }
-                    }
-                }
-                Ok(StepIntake {
-                    blocks,
-                    sim_time: Duration::ZERO,
-                    transfer_time: t.elapsed(),
-                    degradation: deg,
-                })
-            })?;
-            for chan in &chans {
-                out.bytes_sent += chan.bytes_sent();
-            }
-            // The root collects one adoption notice per dead simulation
-            // rank from that rank's owner, recording detection-to-adoption
-            // latency for the run's histograms.
-            if rank == 0 {
-                for death in board.deaths() {
-                    let owner = death.rank % viz_count;
-                    let notice = if owner == 0 {
-                        local_notices.iter().find(|n| n.dead_rank == death.rank).copied()
-                    } else if policy.adopt {
-                        recv_adopt_notice(&comm, owner, death.rank, detection * 4).ok()
-                    } else {
-                        None
-                    };
-                    let latency = notice
-                        .map(|n| n.latency_ns as f64 * 1e-9)
-                        .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-                    out.recovery_latency_s.push(latency);
-                    eth_obs::count("adopt_notices", 1.0);
-                }
-            }
-            Ok(out)
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    for h in sim_handles.into_iter().chain(viz_handles) {
-        match h.join() {
-            Ok(result) => outputs.push(result?),
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
-    supervisor.stop();
-    let deaths = board.deaths();
-    if deaths.len() > policy.max_rank_losses as usize {
-        let d = &deaths[policy.max_rank_losses as usize];
-        return Err(CoreError::Rank(RankFailure::Hang {
-            rank: d.rank,
-            waited: d.detection_latency(),
-            last_step: d.last_step,
-        }));
-    }
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    Ok(outputs)
-}
-
-/// Internode coupling under a [`crate::config::MigrationPlan`]: the
-/// recovering two-application layout made elastic. The visualization
-/// fabric is sized to [`ExperimentSpec::max_viz_count`], so a `Rescale`
-/// that grows the application has fresh ranks ready to adopt partitions,
-/// and one that shrinks leaves the retiring ranks draining their wires
-/// with nothing to render. Wire pairings are fixed by the *initial*
-/// layout — a migrated partition's original feeder keeps draining the
-/// TCP stream (identical backpressure and fault accounting) while the
-/// new owner renders from the shared staged store. A dedicated migration
-/// supervisor aborts pending handoffs whose partition's simulation rank
-/// died: death wins, the PR-5-style adoption path takes over.
-fn run_internode_migrating(
-    spec: &ExperimentSpec,
-    staged: &Arc<StagedData>,
-    policy: RecoveryPolicy,
-) -> Result<Vec<RankOutput>> {
-    use eth_transport::local::LocalFabric;
-    use eth_transport::runner::{spawn_supervisor, RankFailure};
-    use std::thread;
-
-    let r = spec.ranks;
-    static LAYOUT_RUN: AtomicU64 = AtomicU64::new(0);
-    let layout_dir = std::env::temp_dir().join(format!(
-        "eth-layout-mig-{}-{:x}-{}",
-        spec.name.replace('/', "_"),
-        std::process::id(),
-        LAYOUT_RUN.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    let layout = LayoutFile::create(&layout_dir)?;
-
-    let board = HeartbeatBoard::new(r);
-    let supervisor = spawn_supervisor(&board, policy.heartbeat);
-    let handoffs = spec.migration_handoffs();
-    let book = MigrationBook::new(handoffs.len());
-    // Death arbitration: the supervisor aborts any still-pending handoff
-    // whose partition's simulation rank stopped beating.
-    let watch: Vec<(usize, usize)> = handoffs.iter().enumerate().map(|(i, h)| (i, h.partition)).collect();
-    let migration_supervisor = spawn_migration_supervisor(&board, &book, watch, policy.heartbeat);
-    let checkpoints = Arc::new(match &spec.artifact_dir {
-        Some(dir) => match crate::journal::Journal::open(&dir.join("recovery")) {
-            Ok(journal) => CheckpointStore::with_spill(r, journal),
-            Err(_) => CheckpointStore::new(r),
-        },
-        None => CheckpointStore::new(r),
-    });
-
-    let obs = eth_obs::current_context();
-    let mut sim_handles = Vec::new();
-    for rank in 0..r {
-        let staged = staged.clone();
-        let layout = layout.clone();
-        let spec_sim = spec.clone();
-        let obs = obs.clone();
-        let board = board.clone();
-        let checkpoints = checkpoints.clone();
-        sim_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(rank);
-            let plan = spec_sim.fault_plan.clone().unwrap_or_default();
-            let chan = ChaosChannel::new(listen_as(&layout, rank)?, plan.clone());
-            let mut beater = Beater::spawn(&board, rank, policy.heartbeat);
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            for step in 0..spec_sim.steps {
-                if plan.kills(rank, step) {
-                    beater.silence();
-                    board.await_death(rank, recovery_deadline(&spec_sim));
-                    return Ok(RankOutput::tombstone());
-                }
-                let t = Instant::now();
-                let block = staged.block(step, rank)?;
-                let payload = encode_block(&spec_sim, &block);
-                phases.sim_s += t.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                match chan.send(DATA_TAG_BASE + step as u32, payload) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        degradation.count(&e);
-                        break;
-                    }
-                }
-                phases.transfer_s += t2.elapsed().as_secs_f64();
-                checkpoints.record(StepCheckpoint {
-                    rank,
-                    partition: rank,
-                    step,
-                    proxy_cursor: step + 1,
-                    rng_state: spec_sim.seed ^ rank as u64,
-                    degradation,
-                });
-                board.step_done(rank, step);
-            }
-            board.mark_done(rank);
-            Ok(RankOutput {
-                images: Vec::new(),
-                stats: RenderStats::default(),
-                phases,
-                bytes_sent: chan.bytes_sent(),
-                degradation,
-                recovery_latency_s: Vec::new(),
-                migration_disruption_s: Vec::new(),
-            })
-        }));
-    }
-
-    let initial_viz = spec.initial_viz_count();
-    let viz_count = spec.max_viz_count();
-    let viz_comms = LocalFabric::new(viz_count);
-    let mut viz_handles = Vec::new();
-    for (vrank, comm) in viz_comms.into_iter().enumerate() {
-        let layout = layout.clone();
-        let spec = spec.clone();
-        let staged = staged.clone();
-        // Wire pairing is the *initial* layout's: ranks past it (Rescale
-        // headroom) hold no sockets until a handoff gives them work.
-        let my_sims: Vec<usize> = if vrank < initial_viz {
-            (0..r).filter(|s| s % initial_viz == vrank).collect()
-        } else {
-            Vec::new()
-        };
-        let obs = obs.clone();
-        let board = board.clone();
-        let checkpoints = checkpoints.clone();
-        let book = book.clone();
-        let handoffs = handoffs.clone();
-        viz_handles.push(thread::spawn(move || -> Result<RankOutput> {
-            let _obs = obs.attach();
-            eth_obs::set_rank(r + vrank);
-            let plan = spec.fault_plan.clone().unwrap_or_default();
-            let detection = policy.heartbeat.detection_deadline();
-            let wait = detection * 2 + Duration::from_millis(25);
-            let recv_budget = plan
-                .deadline()
-                .unwrap_or(Duration::from_secs(2))
-                .max(wait);
-            let mut chans = Vec::with_capacity(my_sims.len());
-            for &sim_rank in &my_sims {
-                let chan = connect_to(&layout, sim_rank, vrank, Duration::from_secs(30))?;
-                chans.push(ChaosChannel::new(chan, plan.clone()));
-            }
-            let mut owners: Vec<usize> = (0..r).map(|p| spec.initial_owner(p)).collect();
-            let mut adopted = vec![false; r];
-            let mut local_notices: Vec<AdoptNotice> = Vec::new();
-            let mut images = Vec::new();
-            let mut stats = RenderStats::default();
-            let mut phases = PhaseTimes::default();
-            let mut degradation = Degradation::default();
-            let mut recovery_latency_s = Vec::new();
-            let mut migration_disruption_s = Vec::new();
-
-            for step in 0..spec.steps {
-                let t = Instant::now();
-                let mut step_deg = Degradation::default();
-
-                // 1. Drain every wire this rank holds, owner or not.
-                let mut wire_blocks: Vec<Option<DataObject>> = vec![None; r];
-                for (chan, &sim) in chans.iter().zip(&my_sims) {
-                    if !adopted[sim] && !board.is_dead(sim) {
-                        let deadline = Instant::now() + recv_budget;
-                        let mut delivered = false;
-                        loop {
-                            if board.is_dead(sim) {
-                                break;
-                            }
-                            let now = Instant::now();
-                            if now >= deadline {
-                                step_deg.timeouts += 1;
-                                delivered = true; // budget spent; not a death
-                                break;
-                            }
-                            match chan
-                                .recv_timeout(DATA_TAG_BASE + step as u32, wait.min(deadline - now))
-                            {
-                                Ok(payload) => {
-                                    match decode_block(&spec, sim, payload) {
-                                        Ok(block) => wire_blocks[sim] = Some(block),
-                                        Err(_) => step_deg.corrupt_payloads += 1,
-                                    }
-                                    delivered = true;
-                                    break;
-                                }
-                                Err(TransportError::Timeout { .. }) => continue,
-                                Err(e) => {
-                                    if !board.is_dead(sim) {
-                                        step_deg.count(&e);
-                                        delivered = true;
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        if delivered {
-                            continue;
-                        }
-                    }
-                    if board.is_dead(sim) && !adopted[sim] {
-                        // The drainer accounts the loss exactly once; the
-                        // partition's current owner keeps rendering it.
-                        let _span = eth_obs::span(eth_obs::Phase::Recovery);
-                        adopted[sim] = true;
-                        step_deg.rank_losses += 1;
-                        eth_obs::count("rank_losses", 1.0);
-                        let latency_ns = board
-                            .death_of(sim)
-                            .map(|d| board.now_ns().saturating_sub(d.last_beat_ns))
-                            .unwrap_or(0);
-                        if policy.adopt {
-                            step_deg.adopted_partitions += 1;
-                            eth_obs::count("adopted_partitions", 1.0);
-                            let notice = AdoptNotice {
-                                dead_rank: sim,
-                                adopted_at_step: step,
-                                adopter: r + owners[sim],
-                                latency_ns,
-                            };
-                            if vrank == 0 {
-                                local_notices.push(notice);
-                            } else {
-                                send_adopt_notice(&comm, 0, &notice)?;
-                            }
-                        }
-                    }
-                }
-                if step_deg.faults() > 0 {
-                    if wire_blocks.iter().all(Option::is_none) {
-                        step_deg.dropped_steps += 1;
-                    } else {
-                        step_deg.degraded_steps += 1;
-                    }
-                }
-                phases.transfer_s += t.elapsed().as_secs_f64();
-
-                // 2. This step's handshakes (after intake: death wins).
-                migrate_handshakes(
-                    &spec,
-                    &comm,
-                    &|p| board.is_dead(p),
-                    &checkpoints,
-                    &book,
-                    &handoffs,
-                    &mut owners,
-                    vrank,
-                    step,
-                    &|viz| viz,
-                    &mut step_deg,
-                    &mut migration_disruption_s,
-                )?;
-
-                // 3. Render the owned partitions in ascending order.
-                let pipeline = pipeline_for_step(&spec, &staged, step);
-                let t_viz = Instant::now();
-                let mut rendered: Vec<(usize, Vec<Framebuffer>)> = Vec::new();
-                for p in 0..r {
-                    if owners[p] != vrank {
-                        continue;
-                    }
-                    let block = match wire_blocks[p].take() {
-                        Some(block) => block,
-                        None if board.is_dead(p) => {
-                            if !policy.adopt {
-                                continue; // the hole is counted at the root
-                            }
-                            staged.block(step, p)?
-                        }
-                        // migrated-in partition (no wire here): the shared
-                        // staged store is byte-identical to the wire block
-                        None if my_sims.binary_search(&p).is_err() => {
-                            staged.block(step, p)?
-                        }
-                        // own wire, alive, message lost: a hole this frame
-                        None => continue,
-                    };
-                    let out = pipeline.execute_step(step, &block, &staged.bounds[step])?;
-                    stats = accumulate(stats, out.stats);
-                    rendered.push((p, out.frames));
-                }
-                phases.viz_s += t_viz.elapsed().as_secs_f64();
-
-                // 4. Framed gather + ownership-mapped composite at root 0.
-                let t_comp = Instant::now();
-                for image_index in 0..spec.images_per_step {
-                    let entries: Vec<(usize, &Framebuffer)> = rendered
-                        .iter()
-                        .filter_map(|(p, frames)| frames.get(image_index).map(|fb| (*p, fb)))
-                        .collect();
-                    let payload = if entries.is_empty() {
-                        Bytes::new()
-                    } else {
-                        encode_contribution(&entries)
-                    };
-                    let gathered = gather(&comm, 0, payload)?;
-                    if let Some(parts) = gathered {
-                        let (image, missing) = composite_contributions(&spec, parts.iter())?;
-                        step_deg.missing_contributions += missing;
-                        pipeline.write_artifact(step, image_index, &image)?;
-                        images.push(image);
-                    }
-                }
-                phases.composite_s += t_comp.elapsed().as_secs_f64();
-                degradation.absorb(&step_deg);
-            }
-
-            let mut bytes_sent = comm.traffic().bytes_sent;
-            for chan in &chans {
-                bytes_sent += chan.bytes_sent();
-            }
-            // Root collects one adoption notice per dead simulation rank
-            // from that rank's *drainer* (the wire holder observes the
-            // death even when the partition lives elsewhere now).
-            if vrank == 0 {
-                for death in board.deaths() {
-                    let drainer = death.rank % initial_viz;
-                    let notice = if drainer == 0 {
-                        local_notices.iter().find(|n| n.dead_rank == death.rank).copied()
-                    } else if policy.adopt {
-                        recv_adopt_notice(&comm, drainer, death.rank, detection * 4).ok()
-                    } else {
-                        None
-                    };
-                    let latency = notice
-                        .map(|n| n.latency_ns as f64 * 1e-9)
-                        .unwrap_or_else(|| death.detection_latency().as_secs_f64());
-                    recovery_latency_s.push(latency);
-                    eth_obs::count("adopt_notices", 1.0);
-                }
-            }
-            Ok(RankOutput {
-                images,
-                stats,
-                phases,
-                bytes_sent,
-                degradation,
-                recovery_latency_s,
-                migration_disruption_s,
-            })
-        }));
-    }
-
-    let mut outputs = Vec::new();
-    for h in sim_handles.into_iter().chain(viz_handles) {
-        match h.join() {
-            Ok(result) => outputs.push(result?),
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
-    supervisor.stop();
-    migration_supervisor.stop();
-    let deaths = board.deaths();
-    if deaths.len() > policy.max_rank_losses as usize {
-        let d = &deaths[policy.max_rank_losses as usize];
-        return Err(CoreError::Rank(RankFailure::Hang {
-            rank: d.rank,
-            waited: d.detection_latency(),
-            last_step: d.last_step,
-        }));
-    }
-    let _ = std::fs::remove_dir_all(&layout_dir);
-    Ok(outputs)
 }
 
 /// A paper-scale design point for the cluster simulator.
@@ -3002,7 +1961,7 @@ pub fn run_cluster(exp: &ClusterExperiment) -> RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Algorithm, Application, ExperimentSpec};
+    use crate::config::{Algorithm, Application, ExperimentSpec, RecoveryPolicy};
     use eth_transport::fault::FaultPlan;
 
     fn base_spec(name: &str) -> ExperimentSpec {
@@ -3188,19 +2147,48 @@ mod tests {
     #[test]
     fn supervised_run_times_out_instead_of_wedging() {
         // An absurdly small rank budget: the supervisor must convert the
-        // overrun into a structured error, not block.
-        let plan = FaultPlan::seeded(1)
-            .with_rank_timeout_ms(1)
-            .with_recv_deadline_ms(100);
-        let mut spec = base_spec("tiny-budget");
-        spec.fault_plan = Some(plan);
-        match run_native(&spec) {
-            Err(crate::error::CoreError::Rank(f)) => {
-                assert!(f.to_string().contains("did not finish"), "{f}");
+        // overrun into a structured error, not block — under every coupling.
+        for coupling in [Coupling::Tight, Coupling::Intercore, Coupling::Internode] {
+            let plan = FaultPlan::seeded(1)
+                .with_rank_timeout_ms(1)
+                .with_recv_deadline_ms(100);
+            let mut spec = base_spec("tiny-budget");
+            spec.coupling = coupling;
+            spec.fault_plan = Some(plan);
+            match run_native(&spec) {
+                Err(crate::error::CoreError::Rank(f)) => {
+                    assert!(f.to_string().contains("did not finish"), "{coupling:?}: {f}");
+                }
+                Err(other) => panic!("{coupling:?}: expected a rank failure, got {other}"),
+                // A very fast machine may finish a fabric run inside 1 ms,
+                // but the socket bootstrap alone takes far longer.
+                Ok(_) => assert_ne!(coupling, Coupling::Internode, "the rank budget was ignored"),
             }
-            Err(other) => panic!("expected a rank failure, got {other}"),
-            Ok(_) => {} // a very fast machine may finish inside 1 ms
         }
+    }
+
+    #[test]
+    fn failed_internode_run_leaves_no_layout_dir() {
+        // An artifact dir below a regular file cannot be created, so the
+        // root's first artifact write fails the run after every rank has
+        // bootstrapped. The layout directory must go with the run.
+        let name = format!("layout-leak-{:x}", std::process::id());
+        let blocker = std::env::temp_dir().join(format!("eth-{name}-blocker"));
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let mut spec = base_spec(&name);
+        spec.coupling = Coupling::Internode;
+        spec.artifact_dir = Some(blocker.join("artifacts"));
+        let result = run_native(&spec);
+        std::fs::remove_file(&blocker).unwrap();
+        assert!(result.is_err(), "an unwritable artifact dir must fail the run");
+        let prefix = format!("eth-layout-{name}-");
+        let leaked: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+            .map(|e| e.path())
+            .collect();
+        assert!(leaked.is_empty(), "failed run left {leaked:?} behind");
     }
 
     #[test]
@@ -3359,6 +2347,34 @@ mod tests {
         spec.recovery = Some(sturdy_recovery());
         spec.migration = Some(crate::config::MigrationPlan::new(pattern));
         spec
+    }
+
+    #[test]
+    fn recovering_and_migrating_runs_report_a_critical_path() {
+        use crate::config::{MigrationPattern, MigrationPlan};
+        let sudden = MigrationPattern::Sudden { from: 1, to: 0, at_step: 1 };
+        for (coupling, pattern) in [
+            (Coupling::Intercore, None),
+            (Coupling::Intercore, Some(sudden)),
+            (Coupling::Internode, Some(sudden)),
+        ] {
+            let mut spec = base_spec("cp-modes");
+            spec.coupling = coupling;
+            spec.recovery = Some(sturdy_recovery());
+            spec.migration = pattern.map(MigrationPlan::new);
+            let out = run_native(&spec).unwrap();
+            let tag = format!("{coupling:?} migrating={}", pattern.is_some());
+            let Some(cp) = out.critical_path.as_ref() else {
+                panic!("{tag}: no critical path");
+            };
+            assert!(cp.steps > 0, "{tag}: {cp:?}");
+            assert!(
+                cp.phases
+                    .iter()
+                    .any(|p| out.counters.get(&format!("critical_path_{}_s", p.phase)) > 0.0),
+                "{tag}: no critical_path_* counters"
+            );
+        }
     }
 
     #[test]

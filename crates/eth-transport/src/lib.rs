@@ -15,8 +15,8 @@
 //! * [`layout`] — the layout file itself,
 //! * [`collectives`] — barrier / broadcast / gather / reduce built on
 //!   point-to-point (binomial trees), used by compositing and the harness,
-//! * [`runner`] — the `mpirun` equivalent: spawn N ranks as threads over a
-//!   fabric and join them (optionally supervised with per-rank timeouts),
+//! * [`runner`] — the `mpirun` equivalent: spawn N ranks as threads and
+//!   join them, with per-run budgets and heartbeat supervision,
 //! * [`fault`] — deterministic, serializable fault plans (drop / corrupt /
 //!   delay / disconnect as pure functions of a seed and the message key),
 //! * [`chaos`] — wrappers that enact a fault plan around a real
@@ -37,7 +37,6 @@ pub use comm::{Communicator, TransportError};
 pub use fault::{Backoff, BackoffShape, FaultPlan, KillSpec};
 pub use local::LocalFabric;
 pub use runner::{
-    run_ranks, run_ranks_heartbeat, run_ranks_supervised, spawn_migration_supervisor,
-    spawn_supervisor, DeathNotice, HeartbeatBoard, HeartbeatPolicy, HeartbeatRun, MigrationBook,
-    RankFailure, Supervisor,
+    launch, run_ranks, DeathNotice, HeartbeatBoard, HeartbeatPolicy, Liveness, MigrationBook,
+    RankBody, RankFailure,
 };

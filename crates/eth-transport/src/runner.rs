@@ -2,10 +2,13 @@
 //!
 //! "In the first case, experiments are easily run using the standard batch
 //! scheduler" (Section III-C) — in this harness the "batch scheduler" is a
-//! thread per rank over a [`LocalFabric`], which is how the native
-//! execution mode runs tight and intercore coupling. The socket fabric has
-//! its own bootstrap (see [`crate::socket`]); [`run_ranks_socket`] wires it
-//! for tests and single-machine experiments.
+//! thread per rank. [`launch`] is the one launcher the native harness uses
+//! for every coupling: it runs a list of rank bodies (whatever fabric or
+//! sockets they captured), converts panics and overruns into a structured
+//! [`RankFailure`], and — given a [`HeartbeatBoard`] — doubles as the
+//! liveness supervisor. [`run_ranks`] wires a [`LocalFabric`] for tests
+//! and collectives; the socket fabric has its own bootstrap (see
+//! [`crate::socket`]), which [`run_ranks_socket`] wires the same way.
 
 use crate::comm::{Communicator, Result};
 use crate::layout::LayoutFile;
@@ -14,7 +17,7 @@ use crate::socket::SocketFabric;
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -172,76 +175,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Like [`run_ranks`], but supervised: each rank gets `rank_timeout` of
-/// wall clock to finish, and a panic in any rank is converted into a
-/// structured [`RankFailure`] instead of being re-thrown.
-///
-/// On failure, ranks still running are *detached*, not killed (Rust
-/// threads cannot be cancelled): they keep running until they finish on
-/// their own or the process exits, and their results are discarded. The
-/// supervisor itself never blocks past the budget — the point is that a
-/// deadlocked or wedged experiment surfaces as an error the sweep driver
-/// can record and move past, instead of wedging the whole campaign.
-pub fn run_ranks_supervised<T, F>(
-    size: usize,
-    rank_timeout: Duration,
-    body: F,
-) -> std::result::Result<Vec<T>, RankFailure>
-where
-    T: Send + 'static,
-    F: Fn(LocalComm) -> T + Send + Sync + Clone + 'static,
-{
-    let comms = LocalFabric::new(size);
-    let (tx, rx) = unbounded::<(usize, thread::Result<T>)>();
-    let obs = eth_obs::current_context();
-    for comm in comms {
-        let body = body.clone();
-        let tx = tx.clone();
-        let obs = obs.clone();
-        thread::Builder::new()
-            .name(format!("eth-rank-{}", comm.rank()))
-            .spawn(move || {
-                let _obs = obs.attach();
-                eth_obs::set_rank(comm.rank());
-                let rank = comm.rank();
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(comm)));
-                let _ = tx.send((rank, result));
-            })
-            .expect("spawn rank thread");
-    }
-    drop(tx);
-    let deadline = Instant::now() + rank_timeout;
-    let mut slots: Vec<Option<T>> = (0..size).map(|_| None).collect();
-    let mut finished = 0;
-    while finished < size {
-        match rx.recv_deadline(deadline) {
-            Ok((rank, Ok(value))) => {
-                slots[rank] = Some(value);
-                finished += 1;
-            }
-            Ok((rank, Err(payload))) => {
-                return Err(RankFailure::Panic {
-                    rank,
-                    message: panic_message(payload.as_ref()),
-                });
-            }
-            Err(_) => {
-                let rank = slots
-                    .iter()
-                    .position(|s| s.is_none())
-                    .expect("timeout with all ranks finished");
-                return Err(RankFailure::Hang {
-                    rank,
-                    waited: rank_timeout,
-                    last_step: None,
-                });
-            }
-        }
-    }
-    Ok(slots.into_iter().map(|s| s.expect("all slots filled")).collect())
 }
 
 /// Per-rank liveness beacons: how often a healthy rank must beat, and how
@@ -491,62 +424,6 @@ impl HeartbeatBoard {
     }
 }
 
-/// A background heartbeat supervisor scanning a shared board. Used by run
-/// modes that spawn their rank threads directly (internode coupling);
-/// [`run_ranks_heartbeat`] folds the same scan into its collector loop.
-pub struct Supervisor {
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-/// Spawn a supervisor over `board` scanning at the policy's poll interval.
-/// It stops (and its thread joins) when the returned handle is dropped or
-/// [`Supervisor::stop`] is called, or on its own once every rank is done
-/// or dead.
-pub fn spawn_supervisor(board: &Arc<HeartbeatBoard>, policy: HeartbeatPolicy) -> Supervisor {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = stop.clone();
-    let board = board.clone();
-    let detection = policy.detection_deadline();
-    let poll = policy.poll_interval();
-    let handle = thread::Builder::new()
-        .name("eth-heartbeat-supervisor".into())
-        .spawn(move || {
-            while !flag.load(Ordering::Acquire) {
-                board.scan(detection);
-                if (0..board.size()).all(|r| board.is_done(r) || board.is_dead(r)) {
-                    break;
-                }
-                thread::sleep(poll);
-            }
-        })
-        .expect("spawn supervisor thread");
-    Supervisor {
-        stop,
-        handle: Some(handle),
-    }
-}
-
-impl Supervisor {
-    /// Stop scanning and join the supervisor thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Handoff states on a [`MigrationBook`]. A handoff starts `PENDING` and
 /// makes exactly one transition: `COMMITTED` (the target accepted and the
 /// ack landed) or `ABORTED` (timeout, refusal, or the source's sim rank
@@ -635,169 +512,188 @@ impl MigrationBook {
     }
 }
 
-/// Spawn the migration supervisor beside the heartbeat supervisor: it
-/// watches the heartbeat board and aborts every still-pending handoff
-/// whose partition's sim rank has died — death wins, and the PR 5
-/// adoption path takes over for that partition. `watch` maps handoff
-/// index → the sim rank whose death invalidates it. The supervisor stops
-/// on its own once every watched handoff is resolved or every rank is
-/// done-or-dead.
-pub fn spawn_migration_supervisor(
-    board: &Arc<HeartbeatBoard>,
-    book: &Arc<MigrationBook>,
-    watch: Vec<(usize, usize)>,
-    policy: HeartbeatPolicy,
-) -> Supervisor {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = stop.clone();
-    let board = board.clone();
-    let book = book.clone();
-    let poll = policy.poll_interval();
-    let handle = thread::Builder::new()
-        .name("eth-migration-supervisor".into())
-        .spawn(move || {
-            while !flag.load(Ordering::Acquire) {
-                for &(handoff, sim_rank) in &watch {
-                    if book.is_pending(handoff) && board.is_dead(sim_rank) {
-                        book.abort(handoff);
-                    }
-                }
-                let all_resolved = watch.iter().all(|&(h, _)| !book.is_pending(h));
-                let all_settled =
-                    (0..board.size()).all(|r| board.is_done(r) || board.is_dead(r));
-                if all_resolved || all_settled {
-                    break;
-                }
-                thread::sleep(poll);
-            }
-        })
-        .expect("spawn migration supervisor thread");
-    Supervisor {
-        stop,
-        handle: Some(handle),
+/// One rank for [`launch`]. Its `id` names the thread, tags the rank's
+/// flight-recorder spans and, below the [`Liveness`] board's size, is its
+/// heartbeat slot.
+pub struct RankBody<T, E> {
+    id: usize,
+    body: Box<dyn FnOnce() -> std::result::Result<T, E> + Send>,
+}
+
+impl<T, E> RankBody<T, E> {
+    pub fn new(
+        id: usize,
+        body: impl FnOnce() -> std::result::Result<T, E> + Send + 'static,
+    ) -> Self {
+        RankBody {
+            id,
+            body: Box::new(body),
+        }
     }
 }
 
-/// Result of a heartbeat-supervised run: per-rank outputs (`None` for a
-/// rank that died and never reported) plus the deaths that occurred.
-#[derive(Debug)]
-pub struct HeartbeatRun<T> {
-    pub outputs: Vec<Option<T>>,
-    pub deaths: Vec<DeathNotice>,
+/// Heartbeat supervision for [`launch`]: the collector scans `board` at
+/// the policy's poll interval, declares ranks silent for longer than the
+/// detection deadline dead, and fails the run once more than
+/// `max_losses` have died. `handoffs` lists `(handoff, sim rank)` pairs
+/// arbitrated in the same scan: a pending handoff whose simulation rank
+/// died is aborted on `book` — death wins.
+pub struct Liveness {
+    pub board: Arc<HeartbeatBoard>,
+    pub policy: HeartbeatPolicy,
+    pub max_losses: usize,
+    pub book: Arc<MigrationBook>,
+    pub handoffs: Vec<(usize, usize)>,
 }
 
-/// Like [`run_ranks_supervised`], but liveness comes from per-rank
-/// heartbeats instead of one global deadline. Each rank body receives the
-/// shared [`HeartbeatBoard`] and must beat at least once per policy
-/// interval; the collector doubles as the supervisor, scanning the board
-/// between joins. A silent rank is declared dead after
-/// `interval × miss_budget` — O(interval), not O(run) — and the run keeps
-/// going as long as at most `max_losses` ranks die (survivors consult the
-/// board to adopt the dead rank's work). One death too many fails the run
-/// with a heartbeat-attributed [`RankFailure::Hang`] naming the rank and
-/// its last completed step; `rank_timeout` stays as the global backstop.
-pub fn run_ranks_heartbeat<T, F>(
-    size: usize,
-    policy: HeartbeatPolicy,
-    max_losses: usize,
-    rank_timeout: Duration,
-    body: F,
-) -> std::result::Result<HeartbeatRun<T>, RankFailure>
+impl Liveness {
+    fn on_board(&self, id: usize) -> bool {
+        id < self.board.size()
+    }
+
+    /// One supervision pass: detect deaths, arbitrate handoffs, enforce
+    /// the loss budget (the newest death is the one that broke it).
+    fn scan(&self) -> std::result::Result<(), RankFailure> {
+        self.board.scan(self.policy.detection_deadline());
+        for &(handoff, rank) in &self.handoffs {
+            if self.book.is_pending(handoff) && self.board.is_dead(rank) {
+                self.book.abort(handoff);
+            }
+        }
+        let deaths = self.board.deaths();
+        match deaths.last() {
+            Some(d) if deaths.len() > self.max_losses => Err(RankFailure::Hang {
+                rank: d.rank,
+                waited: d.detection_latency(),
+                last_step: d.last_step,
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Launch one thread per rank body and collect every body's value, in
+/// body order. Rank threads inherit the caller's flight-recorder sinks.
+///
+/// The first body error is returned as soon as it arrives, and a panic
+/// becomes a structured [`RankFailure::Panic`]. With a `budget`, a run
+/// still unfinished when it expires fails with [`RankFailure::Hang`]
+/// instead of wedging. On any failure, ranks still running are
+/// *detached*, not killed (Rust threads cannot be cancelled): they finish
+/// on their own and their results are discarded.
+///
+/// With `liveness`, the collector doubles as the heartbeat supervisor
+/// (see [`Liveness`]): ranks on the board are beaten once at spawn and
+/// marked done when they report, a silent one is declared dead after
+/// `interval × miss_budget`, and the run keeps going while at most
+/// `max_losses` ranks have died. A dead rank's slot stays `None` unless
+/// it reports a tombstone within one more detection window. Without
+/// liveness every slot is `Some` on success.
+pub fn launch<T, E>(
+    ranks: Vec<RankBody<T, E>>,
+    budget: Option<Duration>,
+    liveness: Option<Liveness>,
+) -> std::result::Result<Vec<Option<T>>, E>
 where
     T: Send + 'static,
-    F: Fn(LocalComm, Arc<HeartbeatBoard>) -> T + Send + Sync + Clone + 'static,
+    E: From<RankFailure> + Send + 'static,
 {
-    let board = HeartbeatBoard::new(size);
-    let comms = LocalFabric::new(size);
-    let (tx, rx) = unbounded::<(usize, thread::Result<T>)>();
+    let ids: Vec<usize> = ranks.iter().map(|r| r.id).collect();
+    let size = ranks.len();
+    let (tx, rx) = unbounded();
     let obs = eth_obs::current_context();
-    for comm in comms {
-        let body = body.clone();
+    for (slot, rank) in ranks.into_iter().enumerate() {
+        if let Some(live) = liveness.as_ref().filter(|l| l.on_board(rank.id)) {
+            live.board.beat(rank.id);
+        }
         let tx = tx.clone();
         let obs = obs.clone();
-        let board = board.clone();
         thread::Builder::new()
-            .name(format!("eth-rank-{}", comm.rank()))
+            .name(format!("eth-rank-{}", rank.id))
             .spawn(move || {
-                let _obs = obs.attach();
-                eth_obs::set_rank(comm.rank());
-                let rank = comm.rank();
-                board.beat(rank);
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(comm, board)));
-                let _ = tx.send((rank, result));
+                let result = {
+                    let _obs = obs.attach();
+                    eth_obs::set_rank(rank.id);
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(rank.body))
+                };
+                // Detaching flushed the rank's buffered spans: a caller
+                // draining its recorder after the launch sees all of them.
+                let _ = tx.send((slot, result));
             })
             .expect("spawn rank thread");
     }
     drop(tx);
-    let deadline = Instant::now() + rank_timeout;
-    let detection = policy.detection_deadline();
-    let poll = policy.poll_interval();
-    let mut slots: Vec<Option<T>> = (0..size).map(|_| None).collect();
-    let mut reported = vec![false; size];
-    let mut reported_count = 0usize;
-    // Once every live rank has reported, dead ranks get one more detection
-    // window to deliver a parked tombstone before we give up on them.
+    let deadline = budget.map(|b| Instant::now() + b);
+    let mut outputs: Vec<Option<T>> = (0..size).map(|_| None).collect();
+    // Once only dead ranks are outstanding, they get one more detection
+    // window to deliver a parked tombstone before the run ends without them.
     let mut tombstone_grace: Option<Instant> = None;
     loop {
-        match rx.recv_timeout(poll) {
-            Ok((rank, Ok(value))) => {
-                board.mark_done(rank);
-                slots[rank] = Some(value);
-                reported[rank] = true;
-                reported_count += 1;
+        let next = match (&liveness, deadline) {
+            (Some(live), _) => rx.recv_timeout(live.policy.poll_interval()),
+            (None, Some(d)) => rx.recv_deadline(d),
+            (None, None) => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match next {
+            Ok((slot, Ok(Ok(value)))) => {
+                if let Some(live) = liveness.as_ref().filter(|l| l.on_board(ids[slot])) {
+                    live.board.mark_done(ids[slot]);
+                }
+                outputs[slot] = Some(value);
             }
-            Ok((rank, Err(payload))) => {
+            Ok((_, Ok(Err(e)))) => return Err(e),
+            Ok((slot, Err(payload))) => {
                 return Err(RankFailure::Panic {
-                    rank,
+                    rank: ids[slot],
                     message: panic_message(payload.as_ref()),
-                });
+                }
+                .into())
             }
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // every rank thread exited and the queue is drained
-                break;
-            }
+            // every rank thread exited and the queue is drained
+            Err(RecvTimeoutError::Disconnected) => break,
         }
-        board.scan(detection);
-        let deaths = board.deaths();
-        if deaths.len() > max_losses {
-            let d = deaths[deaths.len() - 1];
-            return Err(RankFailure::Hang {
-                rank: d.rank,
-                waited: d.detection_latency(),
-                last_step: d.last_step,
-            });
+        if let Some(live) = &liveness {
+            live.scan()?;
         }
-        if reported_count == size {
+        let outstanding: Vec<usize> = (0..size)
+            .filter(|&s| outputs[s].is_none())
+            .map(|s| ids[s])
+            .collect();
+        if outstanding.is_empty() {
             break;
         }
-        if (0..size).all(|r| reported[r] || board.is_dead(r)) {
-            // only dead ranks outstanding: wait out the tombstone grace
-            let since = *tombstone_grace.get_or_insert_with(Instant::now);
-            if since.elapsed() > detection {
-                break;
+        let only_dead = liveness.as_ref().filter(|live| {
+            outstanding
+                .iter()
+                .all(|&id| live.on_board(id) && live.board.is_dead(id))
+        });
+        match only_dead {
+            Some(live) => {
+                let since = *tombstone_grace.get_or_insert_with(Instant::now);
+                if since.elapsed() > live.policy.detection_deadline() {
+                    break;
+                }
             }
-        } else {
-            tombstone_grace = None;
+            None => tombstone_grace = None,
         }
-        if Instant::now() > deadline {
-            // global backstop, with heartbeat attribution when possible
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            // the backstop, with heartbeat attribution when possible
+            let board = liveness.as_ref().map(|l| &l.board);
             let rank = board
-                .stalest_alive()
-                .or_else(|| (0..size).find(|&r| !reported[r]))
-                .unwrap_or(0);
+                .and_then(|b| b.stalest_alive())
+                .unwrap_or(outstanding[0]);
             return Err(RankFailure::Hang {
                 rank,
-                waited: rank_timeout,
-                last_step: board.last_step(rank),
-            });
+                waited: budget.unwrap_or_default(),
+                last_step: board
+                    .filter(|b| rank < b.size())
+                    .and_then(|b| b.last_step(rank)),
+            }
+            .into());
         }
     }
-    Ok(HeartbeatRun {
-        outputs: slots,
-        deaths: board.deaths(),
-    })
+    Ok(outputs)
 }
 
 #[cfg(test)]
@@ -806,6 +702,58 @@ mod tests {
     use crate::collectives::{allreduce_f64, barrier};
     use crate::comm::Communicator;
     use bytes::Bytes;
+    use std::sync::atomic::AtomicBool;
+
+    /// [`launch`] over a local fabric: rank `i` runs `body` on endpoint `i`.
+    fn launch_fabric<T, F>(
+        size: usize,
+        budget: Duration,
+        liveness: Option<Liveness>,
+        body: F,
+    ) -> std::result::Result<Vec<Option<T>>, RankFailure>
+    where
+        T: Send + 'static,
+        F: Fn(LocalComm) -> T + Send + Clone + 'static,
+    {
+        let ranks = LocalFabric::new(size)
+            .into_iter()
+            .map(|comm| {
+                let body = body.clone();
+                RankBody::new(comm.rank(), move || Ok(body(comm)))
+            })
+            .collect();
+        launch(ranks, Some(budget), liveness)
+    }
+
+    /// Heartbeat supervision over a fresh board of `size` slots.
+    fn watched(size: usize, max_losses: usize) -> (Arc<HeartbeatBoard>, Liveness) {
+        let board = HeartbeatBoard::new(size);
+        let live = Liveness {
+            board: board.clone(),
+            policy: fast_policy(),
+            max_losses,
+            book: MigrationBook::new(0),
+            handoffs: Vec::new(),
+        };
+        (board, live)
+    }
+
+    /// [`launch_fabric`] under [`watched`] supervision; bodies get the board.
+    fn launch_heartbeat<T, F>(
+        size: usize,
+        max_losses: usize,
+        budget: Duration,
+        body: F,
+    ) -> std::result::Result<(Vec<Option<T>>, Vec<DeathNotice>), RankFailure>
+    where
+        T: Send + 'static,
+        F: Fn(LocalComm, Arc<HeartbeatBoard>) -> T + Send + Clone + 'static,
+    {
+        let (board, live) = watched(size, max_losses);
+        let shared = board.clone();
+        let outputs = launch_fabric(size, budget, Some(live), move |c| body(c, shared.clone()))?;
+        Ok((outputs, board.deaths()))
+    }
 
     #[test]
     fn ranks_see_their_ids() {
@@ -864,14 +812,13 @@ mod tests {
 
     #[test]
     fn supervised_clean_run_matches_unsupervised() {
-        let sq = run_ranks_supervised(5, Duration::from_secs(30), |c| c.rank() * c.rank())
-            .unwrap();
-        assert_eq!(sq, vec![0, 1, 4, 9, 16]);
+        let sq = launch_fabric(5, Duration::from_secs(30), None, |c| c.rank() * c.rank()).unwrap();
+        assert_eq!(sq, vec![Some(0), Some(1), Some(4), Some(9), Some(16)]);
     }
 
     #[test]
     fn supervised_panic_becomes_structured_failure() {
-        let err = run_ranks_supervised(3, Duration::from_secs(30), |c| {
+        let err = launch_fabric(3, Duration::from_secs(30), None, |c| {
             if c.rank() == 1 {
                 panic!("rank 1 exploded");
             }
@@ -890,7 +837,7 @@ mod tests {
     #[test]
     fn supervised_hang_becomes_structured_failure() {
         let start = Instant::now();
-        let err = run_ranks_supervised(2, Duration::from_millis(100), |c| {
+        let err = launch_fabric(2, Duration::from_millis(100), None, |c| {
             if c.rank() == 1 {
                 // a wedged rank: sleeps far past the budget
                 thread::sleep(Duration::from_secs(5));
@@ -903,6 +850,46 @@ mod tests {
             "{err:?}"
         );
         // the supervisor must give up at the budget, not wait out the hang
+        assert!(start.elapsed() < Duration::from_secs(4));
+    }
+
+    #[test]
+    fn rank_records_reach_the_caller_before_launch_returns() {
+        // A run's recorder is drained right after the launch: every rank's
+        // buffered records must already be in it, not still in flight.
+        let recorder = eth_obs::Recorder::new();
+        let _attached = recorder.attach();
+        for _ in 0..20 {
+            let ranks = (0..3)
+                .map(|id| {
+                    RankBody::new(id, move || {
+                        eth_obs::step_mark(id as u64);
+                        Ok::<_, RankFailure>(())
+                    })
+                })
+                .collect();
+            launch(ranks, Some(Duration::from_secs(30)), None).unwrap();
+            assert_eq!(recorder.take().step_marks().len(), 3);
+        }
+    }
+
+    #[test]
+    fn first_rank_error_is_returned_without_waiting_for_the_rest() {
+        let start = Instant::now();
+        let ranks = vec![
+            RankBody::new(0, || {
+                thread::sleep(Duration::from_secs(5));
+                Ok(0)
+            }),
+            RankBody::new(7, || {
+                Err(RankFailure::Panic {
+                    rank: 7,
+                    message: "body error".into(),
+                })
+            }),
+        ];
+        let err = launch(ranks, None, None).unwrap_err();
+        assert!(matches!(err, RankFailure::Panic { rank: 7, .. }), "{err:?}");
         assert!(start.elapsed() < Duration::from_secs(4));
     }
 
@@ -932,22 +919,16 @@ mod tests {
 
     #[test]
     fn heartbeat_clean_run_matches_unsupervised() {
-        let run = run_ranks_heartbeat(
-            4,
-            fast_policy(),
-            0,
-            Duration::from_secs(30),
-            |c, board| {
-                for step in 0..3 {
-                    board.step_done(c.rank(), step);
-                }
-                c.rank() * c.rank()
-            },
-        )
+        let (outputs, deaths) = launch_heartbeat(4, 0, Duration::from_secs(30), |c, board| {
+            for step in 0..3 {
+                board.step_done(c.rank(), step);
+            }
+            c.rank() * c.rank()
+        })
         .unwrap();
-        let values: Vec<usize> = run.outputs.into_iter().map(|o| o.unwrap()).collect();
+        let values: Vec<usize> = outputs.into_iter().map(|o| o.unwrap()).collect();
         assert_eq!(values, vec![0, 1, 4, 9]);
-        assert!(run.deaths.is_empty());
+        assert!(deaths.is_empty());
     }
 
     #[test]
@@ -956,19 +937,13 @@ mod tests {
         // loss budget the run must fail in O(detection deadline) — far
         // under the 30 s global budget — naming rank 1 and step 4.
         let start = Instant::now();
-        let err = run_ranks_heartbeat(
-            3,
-            fast_policy(),
-            0,
-            Duration::from_secs(30),
-            |c, board| {
-                board.step_done(c.rank(), 4);
-                if c.rank() == 1 {
-                    thread::sleep(Duration::from_secs(10));
-                }
-                c.rank()
-            },
-        )
+        let err = launch_heartbeat(3, 0, Duration::from_secs(30), |c, board| {
+            board.step_done(c.rank(), 4);
+            if c.rank() == 1 {
+                thread::sleep(Duration::from_secs(10));
+            }
+            c.rank()
+        })
         .unwrap_err();
         match err {
             RankFailure::Hang {
@@ -997,63 +972,51 @@ mod tests {
         // supervisor declares it dead (the kill-injection protocol), then
         // returns a tombstone. Survivors keep beating until the death is
         // on the board, then finish. max_losses = 1 ⇒ the run completes.
-        let run = run_ranks_heartbeat(
-            3,
-            fast_policy(),
-            1,
-            Duration::from_secs(30),
-            |c, board| {
-                let rank = c.rank();
-                if rank == 2 {
-                    board.step_done(rank, 0);
-                    board.await_death(rank, Duration::from_secs(10));
-                    return usize::MAX; // tombstone
-                }
-                for step in 0..5 {
-                    board.step_done(rank, step);
-                    thread::sleep(Duration::from_millis(5));
-                }
-                // survivors must be able to observe the death
-                while !board.is_dead(2) {
-                    board.beat(rank);
-                    thread::sleep(Duration::from_millis(2));
-                }
-                rank
-            },
-        )
+        let (outputs, deaths) = launch_heartbeat(3, 1, Duration::from_secs(30), |c, board| {
+            let rank = c.rank();
+            if rank == 2 {
+                board.step_done(rank, 0);
+                board.await_death(rank, Duration::from_secs(10));
+                return usize::MAX; // tombstone
+            }
+            for step in 0..5 {
+                board.step_done(rank, step);
+                thread::sleep(Duration::from_millis(5));
+            }
+            // survivors must be able to observe the death
+            while !board.is_dead(2) {
+                board.beat(rank);
+                thread::sleep(Duration::from_millis(2));
+            }
+            rank
+        })
         .unwrap();
-        assert_eq!(run.deaths.len(), 1);
-        let death = run.deaths[0];
+        assert_eq!(deaths.len(), 1);
+        let death = deaths[0];
         assert_eq!(death.rank, 2);
         assert_eq!(death.last_step, Some(0));
         assert!(death.detection_latency() >= fast_policy().detection_deadline());
-        assert_eq!(run.outputs[0], Some(0));
-        assert_eq!(run.outputs[1], Some(1));
-        assert_eq!(run.outputs[2], Some(usize::MAX), "tombstone must be kept");
+        assert_eq!(outputs[0], Some(0));
+        assert_eq!(outputs[1], Some(1));
+        assert_eq!(outputs[2], Some(usize::MAX), "tombstone must be kept");
     }
 
     #[test]
     fn global_deadline_backstop_still_fires_under_heartbeats() {
         // every rank keeps beating but rank 0 never finishes: detection
         // cannot fire (it is not silent), so the global budget must.
-        let err = run_ranks_heartbeat(
-            2,
-            fast_policy(),
-            1,
-            Duration::from_millis(200),
-            |c, board| {
-                let rank = c.rank();
-                board.step_done(rank, 7);
-                if rank == 0 {
-                    let t = Instant::now();
-                    while t.elapsed() < Duration::from_secs(5) {
-                        board.beat(rank);
-                        thread::sleep(Duration::from_millis(2));
-                    }
+        let err = launch_heartbeat(2, 1, Duration::from_millis(200), |c, board| {
+            let rank = c.rank();
+            board.step_done(rank, 7);
+            if rank == 0 {
+                let t = Instant::now();
+                while t.elapsed() < Duration::from_secs(5) {
+                    board.beat(rank);
+                    thread::sleep(Duration::from_millis(2));
                 }
-                rank
-            },
-        )
+            }
+            rank
+        })
         .unwrap_err();
         match err {
             RankFailure::Hang {
@@ -1090,21 +1053,32 @@ mod tests {
 
     #[test]
     fn standalone_supervisor_declares_silent_ranks() {
-        let board = HeartbeatBoard::new(2);
-        let sup = spawn_supervisor(&board, fast_policy());
-        board.beat(0);
-        board.beat(1);
-        // rank 1 goes silent; rank 0 keeps beating then finishes
-        let t = Instant::now();
-        while board.death_of(1).is_none() && t.elapsed() < Duration::from_secs(5) {
-            board.beat(0);
-            thread::sleep(Duration::from_millis(2));
-        }
-        let death = board.death_of(1).expect("supervisor never declared rank 1");
-        assert_eq!(death.rank, 1);
+        // Only ids below the board's size are watched (the internode
+        // layout: simulation ranks beat, visualization ranks do not). Id 1
+        // goes silent and is declared dead; id 5 is off the board and
+        // never beats, yet must not be declared anything.
+        let (board, live) = watched(2, 1);
+        let shared = board.clone();
+        let beating = RankBody::new(0, move || {
+            let t = Instant::now();
+            while shared.death_of(1).is_none() && t.elapsed() < Duration::from_secs(5) {
+                shared.beat(0);
+                thread::sleep(Duration::from_millis(2));
+            }
+            Ok::<_, RankFailure>(shared.death_of(1).map(|d| d.rank))
+        });
+        let silent = RankBody::new(1, || {
+            thread::sleep(Duration::from_millis(200));
+            Ok(None)
+        });
+        let off_board = RankBody::new(5, || {
+            thread::sleep(Duration::from_millis(100));
+            Ok(None)
+        });
+        let outputs = launch(vec![beating, silent, off_board], None, Some(live)).unwrap();
+        assert_eq!(outputs[0], Some(Some(1)), "the collector never declared rank 1");
         assert!(!board.is_dead(0), "a beating rank must stay alive");
-        board.mark_done(0);
-        sup.stop();
+        assert_eq!(board.deaths().len(), 1);
     }
 
     #[test]
@@ -1129,24 +1103,24 @@ mod tests {
 
     #[test]
     fn migration_supervisor_aborts_handoffs_of_dead_ranks() {
-        let board = HeartbeatBoard::new(3);
+        let (board, mut live) = watched(3, 2);
         let book = MigrationBook::new(2);
         // handoff 0 rides sim rank 1, handoff 1 rides sim rank 2
-        let sup = spawn_migration_supervisor(
-            &board,
-            &book,
-            vec![(0, 1), (1, 2)],
-            fast_policy(),
-        );
+        live.book = book.clone();
+        live.handoffs = vec![(0, 1), (1, 2)];
         // rank 2's handoff commits before the death lands: commit sticks
         assert!(book.try_commit(1));
         board.declare_dead(1);
         board.declare_dead(2);
-        let t = Instant::now();
-        while book.is_pending(0) && t.elapsed() < Duration::from_secs(5) {
-            thread::sleep(Duration::from_millis(1));
-        }
-        sup.stop();
+        let watcher = book.clone();
+        let waiter = RankBody::new(0, move || {
+            let t = Instant::now();
+            while watcher.is_pending(0) && t.elapsed() < Duration::from_secs(5) {
+                thread::sleep(Duration::from_millis(1));
+            }
+            Ok::<_, RankFailure>(())
+        });
+        launch(vec![waiter], None, Some(live)).unwrap();
         assert!(book.is_aborted(0), "death must abort the pending handoff");
         assert!(book.is_committed(1), "a committed handoff survives the death");
     }
