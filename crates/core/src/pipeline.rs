@@ -14,9 +14,10 @@ use crate::error::Result;
 use eth_data::sampling::{sample_grid_field, sample_points};
 use eth_data::DataObject;
 use eth_render::framebuffer::Framebuffer;
-use eth_render::pipeline::{render, RenderOptions, RenderStats};
+use eth_render::pipeline::{render_views, RenderOptions, RenderStats};
 use eth_render::Image;
 use eth_sim::interface::InSituSink;
+use std::borrow::Cow;
 use std::path::PathBuf;
 
 /// Per-step output of a pipeline.
@@ -58,23 +59,25 @@ impl VizPipeline {
         self
     }
 
-    /// Apply the sampling operator to a block.
-    pub fn sample(&self, data: &DataObject) -> Result<DataObject> {
+    /// Apply the sampling operator to a block. At ratio 1.0 the block is
+    /// borrowed, not copied.
+    pub fn sample<'a>(&self, data: &'a DataObject) -> Result<Cow<'a, DataObject>> {
         let sampling = self.spec.sampling()?;
         if sampling.is_identity() {
-            return Ok(data.clone());
+            return Ok(Cow::Borrowed(data));
         }
-        Ok(match data {
+        Ok(Cow::Owned(match data {
             DataObject::Points(cloud) => DataObject::Points(sample_points(cloud, &sampling)?),
             DataObject::Grid(grid) => {
                 let field = self.spec.application.default_scalar();
                 DataObject::Grid(sample_grid_field(grid, field, &sampling, 0.0)?)
             }
-        })
+        }))
     }
 
     /// Run the full rank-local pipeline for one step: sample, then render
-    /// every image of the step with the orbiting camera.
+    /// every image of the step with the orbiting camera (one acceleration
+    /// structure per step, shared by its images).
     ///
     /// `global_bounds` must be the *global* data bounds so all ranks agree
     /// on the camera.
@@ -89,23 +92,26 @@ impl VizPipeline {
             .spec
             .algorithm
             .resolve(&self.spec.application, step, self.spec.seed);
-        let mut frames = Vec::with_capacity(self.spec.images_per_step);
+        let cameras: Vec<_> = (0..self.spec.images_per_step)
+            .map(|image_index| {
+                orbit_camera(
+                    global_bounds,
+                    self.spec.width,
+                    self.spec.height,
+                    image_index,
+                    self.spec.images_per_step,
+                )
+            })
+            .collect();
+        let mut opts = self.options.clone();
+        // Fix the transfer-function range from the *unsampled* block so
+        // sampling changes content, not color scale.
+        if opts.range.is_none() {
+            opts.range = scalar_range(data, opts.scalar.as_deref());
+        }
+        let mut frames = Vec::with_capacity(cameras.len());
         let mut stats = RenderStats::default();
-        for image_index in 0..self.spec.images_per_step {
-            let camera = orbit_camera(
-                global_bounds,
-                self.spec.width,
-                self.spec.height,
-                image_index,
-                self.spec.images_per_step,
-            );
-            let mut opts = self.options.clone();
-            // Fix the transfer-function range from the *unsampled* block so
-            // sampling changes content, not color scale.
-            if opts.range.is_none() {
-                opts.range = scalar_range(data, opts.scalar.as_deref());
-            }
-            let out = render(&sampled, &algorithm, &camera, &opts)?;
+        for out in render_views(&sampled, &algorithm, &cameras, &opts)? {
             stats = accumulate(stats, out.stats);
             frames.push(out.framebuffer);
         }
@@ -205,6 +211,50 @@ mod tests {
         // orbiting camera: the two images differ
         assert_ne!(out.frames[0], out.frames[1]);
         assert!(out.stats.fragments > 0);
+    }
+
+    #[test]
+    fn raycast_step_builds_once_for_all_its_images() {
+        let s = ExperimentSpec::builder("views")
+            .application(Application::Hacc { particles: 3_000 })
+            .algorithm(Algorithm::RaycastSpheres)
+            .image_size(40, 32)
+            .images_per_step(3)
+            .build()
+            .unwrap();
+        let pipe = VizPipeline::new(&s);
+        let data = s.application.generate(0, s.seed).unwrap();
+        let bounds = data.bounds();
+        let out = pipe.execute_step(0, &data, &bounds).unwrap();
+
+        // the reference: three independent single-image renders
+        let algorithm = s.algorithm.resolve(&s.application, 0, s.seed);
+        let mut opts = pipe.options.clone();
+        opts.range = scalar_range(&data, opts.scalar.as_deref());
+        let singles: Vec<_> = (0..3)
+            .map(|i| {
+                let camera = orbit_camera(&bounds, s.width, s.height, i, 3);
+                eth_render::pipeline::render(&data, &algorithm, &camera, &opts).unwrap()
+            })
+            .collect();
+        assert_eq!(out.frames.len(), 3);
+        for (i, single) in singles.iter().enumerate() {
+            assert_eq!(out.frames[i], single.framebuffer, "image {i}");
+        }
+        assert_ne!(out.frames[0], out.frames[1], "the orbit moved");
+        let one_build = singles[0].stats.build_ops;
+        assert!(one_build > 0);
+        assert_eq!(out.stats.build_ops, one_build, "one BVH build per step");
+        let rays: u64 = singles.iter().map(|o| o.stats.rays).sum();
+        assert_eq!(out.stats.rays, rays);
+    }
+
+    #[test]
+    fn identity_sampling_borrows_the_block() {
+        let s = spec();
+        let pipe = VizPipeline::new(&s);
+        let data = s.application.generate(0, s.seed).unwrap();
+        assert!(matches!(pipe.sample(&data).unwrap(), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -28,6 +28,38 @@ impl Ray {
     }
 }
 
+/// A camera's primary-ray generator: [`Camera::primary_ray`] with its
+/// per-frame terms hoisted, bit-identical per pixel.
+#[derive(Debug, Clone, Copy)]
+pub struct PrimaryRays {
+    origin: Vec3,
+    forward: Vec3,
+    right: Vec3,
+    up: Vec3,
+    tan_half: f32,
+    aspect: f32,
+    width: f32,
+    height: f32,
+}
+
+impl PrimaryRays {
+    /// World-space ray through the center of pixel `(px, py)`.
+    #[inline]
+    pub fn ray(&self, px: usize, py: usize) -> Ray {
+        // NDC in [-1, 1], y flipped so +y is up
+        let ndc_x = ((px as f32 + 0.5) / self.width) * 2.0 - 1.0;
+        let ndc_y = 1.0 - ((py as f32 + 0.5) / self.height) * 2.0;
+        let dir = (self.forward
+            + self.right * (ndc_x * self.tan_half * self.aspect)
+            + self.up * (ndc_y * self.tan_half))
+            .normalized();
+        Ray {
+            origin: self.origin,
+            dir,
+        }
+    }
+}
+
 /// A pinhole camera with an orthonormal view basis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Camera {
@@ -122,17 +154,21 @@ impl Camera {
     /// World-space ray through the center of pixel `(px, py)`.
     /// Pixel (0,0) is the top-left corner.
     pub fn primary_ray(&self, px: usize, py: usize) -> Ray {
-        let tan_half = (self.fov_y * 0.5).tan();
-        // NDC in [-1, 1], y flipped so +y is up
-        let ndc_x = ((px as f32 + 0.5) / self.width as f32) * 2.0 - 1.0;
-        let ndc_y = 1.0 - ((py as f32 + 0.5) / self.height as f32) * 2.0;
-        let dir = (self.forward
-            + self.right * (ndc_x * tan_half * self.aspect())
-            + self.up * (ndc_y * tan_half))
-            .normalized();
-        Ray {
+        self.primary_rays().ray(px, py)
+    }
+
+    /// The per-frame terms of [`Camera::primary_ray`] (`tan(fov/2)`,
+    /// aspect, basis), computed once for a whole frame of rays.
+    pub fn primary_rays(&self) -> PrimaryRays {
+        PrimaryRays {
             origin: self.position,
-            dir,
+            forward: self.forward,
+            right: self.right,
+            up: self.up,
+            tan_half: (self.fov_y * 0.5).tan(),
+            aspect: self.aspect(),
+            width: self.width as f32,
+            height: self.height as f32,
         }
     }
 

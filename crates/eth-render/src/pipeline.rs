@@ -185,16 +185,31 @@ fn transfer_function(obj: &DataObject, opts: &RenderOptions) -> TransferFunction
     }
 }
 
-/// Render one frame of `obj` with `algorithm`.
-///
-/// Errors when the algorithm and data class do not match (e.g. raycast
-/// spheres on a grid) or when a required scalar field is missing.
+/// Render one frame of `obj` with `algorithm`: [`render_views`] with one
+/// camera.
 pub fn render(
     obj: &DataObject,
     algorithm: &RenderAlgorithm,
     camera: &Camera,
     opts: &RenderOptions,
 ) -> Result<RenderOutput> {
+    let mut frames = render_views(obj, algorithm, std::slice::from_ref(camera), opts)?;
+    Ok(frames.pop().expect("one camera renders one frame"))
+}
+
+/// Render one frame of `obj` per camera with `algorithm`, in camera order.
+/// The raycaster's acceleration structure depends on the data alone, so
+/// it is built once and shared by every view; the first frame's stats
+/// carry its build time and ops ("built once", Section IV-C).
+///
+/// Errors when the algorithm and data class do not match (e.g. raycast
+/// spheres on a grid) or when a required scalar field is missing.
+pub fn render_views(
+    obj: &DataObject,
+    algorithm: &RenderAlgorithm,
+    cameras: &[Camera],
+    opts: &RenderOptions,
+) -> Result<Vec<RenderOutput>> {
     if !algorithm.accepts(obj) {
         return Err(DataError::InvalidArgument(format!(
             "algorithm '{}' cannot render '{}' data",
@@ -202,8 +217,25 @@ pub fn render(
             obj.kind()
         )));
     }
-    let _span = eth_obs::span_bytes(eth_obs::Phase::Render, obj.payload_bytes() as u64);
     let tf = transfer_function(obj, opts);
+    let mut raycaster = None;
+    cameras
+        .iter()
+        .map(|camera| render_view(obj, algorithm, camera, opts, tf, &mut raycaster))
+        .collect()
+}
+
+/// One frame of [`render_views`]; `raycaster` keeps the sphere raycaster
+/// the first raycast frame builds.
+fn render_view<'a>(
+    obj: &'a DataObject,
+    algorithm: &RenderAlgorithm,
+    camera: &Camera,
+    opts: &RenderOptions,
+    tf: TransferFunction,
+    raycaster: &mut Option<SphereRaycaster<'a>>,
+) -> Result<RenderOutput> {
+    let _span = eth_obs::span_bytes(eth_obs::Phase::Render, obj.payload_bytes() as u64);
     let scalar = opts.scalar.as_deref();
     let mut stats = RenderStats {
         elements: obj.num_elements() as u64,
@@ -235,10 +267,16 @@ pub fn render(
             fb
         }
         (RenderAlgorithm::RaycastSpheres { radius }, DataObject::Points(cloud)) => {
-            let t0 = Instant::now();
-            let rc = SphereRaycaster::build(cloud, scalar, *radius);
-            stats.build_time = t0.elapsed();
-            stats.build_ops = rc.build_ops();
+            let rc = match raycaster {
+                Some(rc) => rc,
+                None => {
+                    let t0 = Instant::now();
+                    let rc = raycaster.insert(SphereRaycaster::build(cloud, scalar, *radius));
+                    stats.build_time = t0.elapsed();
+                    stats.build_ops = rc.build_ops();
+                    rc
+                }
+            };
             let t1 = Instant::now();
             let (fb, s) = match opts.progressive {
                 Some(stride) => {

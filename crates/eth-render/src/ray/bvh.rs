@@ -14,7 +14,9 @@
 //!   bottom-up from Morton-bit splits (parallel across treelets), and the
 //!   treelet roots joined by a sweep-SAH upper tree. Build cost is linear
 //!   in N up to the (tiny) upper tree, which is why million-particle
-//!   frames rebuild in milliseconds.
+//!   frames rebuild in milliseconds. The sort leaves the codes and the
+//!   primitive map as separate arrays, and every large array is written
+//!   once into fresh capacity, with no zero-fill ahead of the writes.
 //! * [`SphereBvh::build_median`] — the previous top-down median split
 //!   (O(N log N)), kept as the reference baseline for benchmarks and
 //!   byte-identity tests.
@@ -22,10 +24,15 @@
 //! Traversal is an iterative stack walk with near-child-first ordering and
 //! t-max pruning, either one ray at a time ([`SphereBvh::intersect`]) or
 //! eight coherent rays together ([`SphereBvh::intersect_packet`]): the
-//! packet advances through the tree on explicit 8-wide SoA lanes
-//! (plain `[f32; 8]` arithmetic — no unstable intrinsics — in the exact
-//! operation order of the scalar path, so per-lane results are
-//! bit-identical to scalar traversal).
+//! packet advances through the tree on explicit 8-wide SoA lanes, in the
+//! exact operation order of the scalar path, so per-lane results are
+//! bit-identical to scalar traversal. Two kernels implement the packet:
+//! an AVX2 one (`core::arch`, picked per call by runtime CPU detection)
+//! and a portable `[f32; 8]` one, which is the fallback elsewhere and the
+//! AVX2 kernel's oracle in tests. A lane takes a sphere only from a leaf
+//! its own slab test reached, so the packet finds what its scalar walk
+//! would even where a slab test degenerates (`0 · ∞` on an axis-parallel
+//! ray that starts on a box plane).
 
 use crate::camera::Ray;
 use eth_data::{Aabb, Vec3};
@@ -200,12 +207,6 @@ const MORTON_BITS: u32 = 30;
 /// costs ~1 ms.
 const TREELET_PREFIX_BITS: u32 = 9;
 
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct MortonPrim {
-    code: u32,
-    prim: u32,
-}
-
 /// Spread the low 10 bits of `v` so bit i lands at position 3i.
 #[inline]
 fn expand_bits(v: u32) -> u32 {
@@ -244,12 +245,36 @@ fn quantize(p: Vec3, min: Vec3, scale: Vec3) -> (u32, u32, u32) {
     )
 }
 
-/// Wrapper making a raw output pointer shareable across the scatter's
-/// rayon tasks. Safety rests on the offset tables: every (chunk, digit)
-/// pair owns a disjoint destination range, so no two tasks write the same
-/// slot.
-struct ScatterOut(*mut MortonPrim);
+/// A length-`n` vector whose slot `i` is `f(i)`, filled in parallel over
+/// `chunk`-sized runs straight into fresh capacity: the build's big
+/// arrays are written once, with no zero-fill pass ahead of the writes.
+fn par_collect<T: Send>(n: usize, chunk: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    use rayon::prelude::*;
+    let mut out = Vec::with_capacity(n);
+    out.spare_capacity_mut()[..n]
+        .par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(ci, slots)| {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                slot.write(f(ci * chunk + i));
+            }
+        });
+    // SAFETY: the chunks tile `0..n` and every slot of each was written.
+    unsafe { out.set_len(n) };
+    out
+}
+
+/// Raw output pointers shared by the scatter's rayon tasks. Safety rests
+/// on the offset tables: every (chunk, digit) pair owns a disjoint
+/// destination range, so no two tasks write the same slot.
+struct ScatterOut {
+    keys: *mut u32,
+    prims: *mut u32,
+}
+// SAFETY: both pointers address buffers that outlive the scatter, and
+// every task writes only its own (chunk, digit) ranges of each.
 unsafe impl Send for ScatterOut {}
+// SAFETY: as for `Send`; shared access only ever writes disjoint slots.
 unsafe impl Sync for ScatterOut {}
 
 const RADIX_BITS: u32 = 10;
@@ -260,27 +285,29 @@ const RADIX_PASSES: u32 = MORTON_BITS / RADIX_BITS;
 /// fixed layout also keeps the *work decomposition* reproducible).
 const RADIX_CHUNKS: usize = 64;
 
-/// Stable LSD radix sort of `pairs` by their 30-bit code: 3 passes × 10
-/// bits, parallel per-chunk histograms and a parallel scatter into
-/// per-(chunk, digit) disjoint ranges. O(N), deterministic for any thread
-/// count.
-fn radix_sort_morton(pairs: &mut Vec<MortonPrim>) {
+/// Stable LSD radix sort of 30-bit `keys`: 3 passes × 10 bits, parallel
+/// per-chunk histograms and a parallel scatter into per-(chunk, digit)
+/// disjoint ranges. Returns the sorted keys and each one's index in
+/// `keys` (equal keys keep index order). O(N), deterministic for any
+/// thread count. Keys and indices ping-pong between two pairs of arrays;
+/// pass 0 reads the identity indices implicitly, and the input's own
+/// buffer takes pass 1's keys.
+fn radix_sort_morton(keys: Vec<u32>) -> (Vec<u32>, Vec<u32>) {
     use rayon::prelude::*;
-    let n = pairs.len();
-    if n < 2 {
-        return;
-    }
-    let chunk = n.div_ceil(RADIX_CHUNKS);
-    let mut scratch = vec![MortonPrim::default(); n];
+    let n = keys.len();
+    assert!(u32::try_from(n).is_ok(), "radix sort indexes with u32");
+    let chunk = n.div_ceil(RADIX_CHUNKS).max(1);
+    let (mut src_k, mut src_p) = (keys, Vec::new());
+    let (mut dst_k, mut dst_p) = (Vec::with_capacity(n), Vec::with_capacity(n));
     for pass in 0..RADIX_PASSES {
         let shift = pass * RADIX_BITS;
         // Per-chunk digit histograms.
-        let histos: Vec<Vec<u32>> = pairs
+        let histos: Vec<Vec<u32>> = src_k
             .par_chunks(chunk)
-            .map(|ps| {
+            .map(|ks| {
                 let mut h = vec![0u32; RADIX_BUCKETS];
-                for p in ps {
-                    h[((p.code >> shift) as usize) & (RADIX_BUCKETS - 1)] += 1;
+                for &k in ks {
+                    h[((k >> shift) as usize) & (RADIX_BUCKETS - 1)] += 1;
                 }
                 h
             })
@@ -295,23 +322,44 @@ fn radix_sort_morton(pairs: &mut Vec<MortonPrim>) {
             }
         }
         // Scatter: chunk c writes digit d's elements into its own range.
-        let out = ScatterOut(scratch.as_mut_ptr());
-        pairs
+        dst_k.clear();
+        dst_p.clear();
+        dst_p.reserve_exact(n);
+        let out = ScatterOut {
+            keys: dst_k.as_mut_ptr(),
+            prims: dst_p.as_mut_ptr(),
+        };
+        let src_prims = &src_p;
+        src_k
             .par_chunks(chunk)
             .zip(starts.par_chunks(RADIX_BUCKETS))
-            .for_each(|(ps, chunk_starts)| {
+            .enumerate()
+            .for_each(|(ci, (ks, chunk_starts))| {
                 let out = &out;
                 let mut cursor = chunk_starts.to_vec();
-                for &p in ps {
-                    let d = ((p.code >> shift) as usize) & (RADIX_BUCKETS - 1);
+                for (i, &k) in ks.iter().enumerate() {
+                    let at = ci * chunk + i;
+                    let prim = if pass == 0 { at as u32 } else { src_prims[at] };
+                    let d = ((k >> shift) as usize) & (RADIX_BUCKETS - 1);
                     // SAFETY: `cursor[d]` walks the disjoint range reserved
-                    // for this (chunk, digit) pair by the prefix sums.
-                    unsafe { out.0.add(cursor[d] as usize).write(p) };
+                    // for this (chunk, digit) pair by the prefix sums, and
+                    // the ranges tile `0..n`, within both capacities.
+                    unsafe {
+                        out.keys.add(cursor[d] as usize).write(k);
+                        out.prims.add(cursor[d] as usize).write(prim);
+                    }
                     cursor[d] += 1;
                 }
             });
-        std::mem::swap(pairs, &mut scratch);
+        // SAFETY: the scatter above wrote every slot of `0..n`.
+        unsafe {
+            dst_k.set_len(n);
+            dst_p.set_len(n);
+        }
+        std::mem::swap(&mut src_k, &mut dst_k);
+        std::mem::swap(&mut src_p, &mut dst_p);
     }
+    (src_k, src_p)
 }
 
 /// One built treelet: pre-order nodes whose *leaf* payloads are absolute
@@ -522,9 +570,13 @@ fn flatten_upper(upper: &Upper, treelets: &[Treelet], out: &mut Vec<Node>) {
 /// Lanes per ray packet.
 pub const PACKET_WIDTH: usize = 8;
 
-/// Eight rays in structure-of-arrays form. Unfilled lanes replicate lane 0
-/// so every lane always holds finite data; callers read back only the
-/// first [`RayPacket::lanes`] results.
+/// `best_slot` of a lane that has not hit anything (slots are `u32`
+/// payloads, so no real slot reaches it).
+const NO_HIT: u32 = u32::MAX;
+
+/// Eight rays in structure-of-arrays form. Unfilled lanes replicate the
+/// last filled lane so every lane always holds finite data; callers read
+/// back only the first [`RayPacket::lanes`] results.
 #[derive(Debug, Clone)]
 pub struct RayPacket {
     pub ox: [f32; PACKET_WIDTH],
@@ -541,9 +593,15 @@ pub struct RayPacket {
 }
 
 impl RayPacket {
-    /// Pack up to 8 rays; lanes beyond `rays.len()` replicate the first.
+    /// Pack up to 8 rays; lanes beyond `rays.len()` replicate the last.
     pub fn from_rays(rays: &[Ray]) -> RayPacket {
-        assert!(!rays.is_empty() && rays.len() <= PACKET_WIDTH);
+        RayPacket::from_fn(rays.len(), |l| rays[l])
+    }
+
+    /// Pack `ray(0) .. ray(lanes - 1)` straight into the SoA lanes, with
+    /// no intermediate ray list; lanes past `lanes` replicate the last.
+    pub fn from_fn(lanes: usize, mut ray: impl FnMut(usize) -> Ray) -> RayPacket {
+        assert!(lanes > 0 && lanes <= PACKET_WIDTH);
         let mut p = RayPacket {
             ox: [0.0; PACKET_WIDTH],
             oy: [0.0; PACKET_WIDTH],
@@ -554,10 +612,14 @@ impl RayPacket {
             ix: [0.0; PACKET_WIDTH],
             iy: [0.0; PACKET_WIDTH],
             iz: [0.0; PACKET_WIDTH],
-            lanes: rays.len(),
+            lanes,
         };
+        let mut last = None;
         for l in 0..PACKET_WIDTH {
-            let r = rays[l.min(rays.len() - 1)];
+            let r = match last {
+                Some(r) if l >= lanes => r,
+                _ => *last.insert(ray(l)),
+            };
             let inv = r.inv_dir();
             p.ox[l] = r.origin.x;
             p.oy[l] = r.origin.y;
@@ -572,6 +634,12 @@ impl RayPacket {
         p
     }
 
+    /// Lane `l`'s direction.
+    #[inline]
+    pub fn dir(&self, l: usize) -> Vec3 {
+        Vec3::new(self.dx[l], self.dy[l], self.dz[l])
+    }
+
     /// Lane 0's direction component along `axis` (traversal-order hint).
     #[inline]
     fn lead_dir(&self, axis: u8) -> f32 {
@@ -583,11 +651,11 @@ impl RayPacket {
     }
 }
 
-/// Slab-test all 8 lanes against `b`; true if any lane's interval
-/// `[1e-4, best_t(lane)]` survives. Same max/min structure per lane as
+/// Slab-test all 8 lanes against `b`: which lanes' intervals
+/// `[1e-4, best_t(lane)]` survive. Same max/min structure per lane as
 /// `Aabb::ray_intersect`.
 #[inline]
-fn packet_hits_aabb(p: &RayPacket, b: &Aabb, best_t: &[f32; PACKET_WIDTH]) -> bool {
+fn packet_hits_aabb(p: &RayPacket, b: &Aabb, best_t: &[f32; PACKET_WIDTH]) -> [bool; PACKET_WIDTH] {
     let mut t0 = [1e-4f32; PACKET_WIDTH];
     let mut t1 = *best_t;
     macro_rules! axis {
@@ -604,11 +672,189 @@ fn packet_hits_aabb(p: &RayPacket, b: &Aabb, best_t: &[f32; PACKET_WIDTH]) -> bo
     axis!(ox, ix, b.min.x, b.max.x);
     axis!(oy, iy, b.min.y, b.max.y);
     axis!(oz, iz, b.min.z, b.max.z);
-    let mut any = false;
-    for l in 0..PACKET_WIDTH {
-        any |= t0[l] <= t1[l];
+    std::array::from_fn(|l| t0[l] <= t1[l])
+}
+
+/// The AVX2 packet kernel: the portable kernel's traversal, one `__m256`
+/// per SoA array. Bit-exactness with the scalar path rests on:
+///
+/// * **slab test** — `n`/`f` come from a `_CMP_GT_OQ` blend, then
+///   `t0 = max(n, t0)` and `t1 = min(f, t1)` in that operand order: on a
+///   NaN (`0·∞` on an axis-parallel ray) `maxps`/`minps` return the second
+///   operand, which is what `f32::max`/`min` return for a NaN argument;
+/// * **no FMA** — only `avx2` is enabled, so every product rounds before
+///   its sum, as in the scalar code;
+/// * **sphere test** — `-b` is a sign-bit XOR, `sqrt` is the correctly
+///   rounded `sqrtps`, and the rejects are the ordered `<`, `<=`, `>=` of
+///   `ray_sphere` (a tie on `t` keeps the first sphere found).
+///
+/// The loop carries only `best_t` and `best_slot`; the caller builds each
+/// hit record once, after traversal, with the scalar expressions.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{RayPacket, SphereBvh, NO_HIT, PACKET_WIDTH};
+    use eth_data::Vec3;
+    use std::arch::x86_64::{
+        __m256, __m256i, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_blendv_ps,
+        _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_max_ps,
+        _mm256_min_ps, _mm256_movemask_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_set1_epi32,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_storeu_si256,
+        _mm256_sub_ps, _mm256_xor_ps, _CMP_GE_OQ, _CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ,
+    };
+
+    /// Whether this CPU can run [`traverse`]. `std` caches the CPUID
+    /// probe, so this is one relaxed load per call.
+    pub fn available() -> bool {
+        is_x86_feature_detected!("avx2")
     }
-    any
+
+    /// One packet's rays, loaded once.
+    struct Lanes {
+        o: [__m256; 3],
+        d: [__m256; 3],
+        inv: [__m256; 3],
+    }
+
+    /// Walk `bvh` with all 8 lanes of `p`; returns each lane's nearest `t`
+    /// and slot (`NO_HIT` for a miss). Callers outside an `avx2` context
+    /// must check [`available`] first: the compiler makes them wrap the
+    /// call in `unsafe`.
+    #[target_feature(enable = "avx2")]
+    pub fn traverse(
+        bvh: &SphereBvh,
+        p: &RayPacket,
+        t_max: f32,
+        steps: &mut u64,
+    ) -> ([f32; PACKET_WIDTH], [u32; PACKET_WIDTH]) {
+        let lanes = Lanes {
+            o: [load(&p.ox), load(&p.oy), load(&p.oz)],
+            d: [load(&p.dx), load(&p.dy), load(&p.dz)],
+            inv: [load(&p.ix), load(&p.iy), load(&p.iz)],
+        };
+        let r2 = _mm256_set1_ps(bvh.radius * bvh.radius);
+        let mut best_t = _mm256_set1_ps(t_max);
+        // slots ride in float lanes as raw bits: blends only move them
+        let mut best_slot = _mm256_castsi256_ps(_mm256_set1_epi32(NO_HIT as i32));
+        let mut stack = [0u32; 96];
+        let mut sp = 0usize;
+        stack[sp] = 0;
+        sp += 1;
+        while sp > 0 {
+            sp -= 1;
+            let node = &bvh.nodes[stack[sp] as usize];
+            *steps += 1;
+            let live = hits_box(&lanes, node.bounds.min, node.bounds.max, best_t);
+            if _mm256_movemask_ps(live) == 0 {
+                continue;
+            }
+            if node.count > 0 {
+                let start = node.payload as usize;
+                for slot in start..start + node.count as usize {
+                    *steps += 1;
+                    let c = bvh.centers[slot];
+                    let (t, take) = hit_sphere(&lanes, c, r2, live, best_t);
+                    best_t = _mm256_blendv_ps(best_t, t, take);
+                    let slot = _mm256_castsi256_ps(_mm256_set1_epi32(slot as i32));
+                    best_slot = _mm256_blendv_ps(best_slot, slot, take);
+                }
+            } else {
+                let left = stack[sp] + 1;
+                let right = node.payload;
+                let near_first = p.lead_dir(node.axis) >= 0.0;
+                let (first, second) = if near_first { (left, right) } else { (right, left) };
+                if sp + 2 <= stack.len() {
+                    stack[sp] = second;
+                    sp += 1;
+                    stack[sp] = first;
+                    sp += 1;
+                }
+            }
+        }
+        let mut t = [0.0f32; PACKET_WIDTH];
+        let mut slots = [0u32; PACKET_WIDTH];
+        // SAFETY: both destinations are 8 writable 32-bit lanes; `storeu`
+        // has no alignment requirement.
+        unsafe {
+            _mm256_storeu_ps(t.as_mut_ptr(), best_t);
+            _mm256_storeu_si256(
+                slots.as_mut_ptr().cast::<__m256i>(),
+                _mm256_castps_si256(best_slot),
+            );
+        }
+        (t, slots)
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn load(a: &[f32; PACKET_WIDTH]) -> __m256 {
+        // SAFETY: `a` is 8 readable f32s; `loadu` has no alignment
+        // requirement.
+        unsafe { _mm256_loadu_ps(a.as_ptr()) }
+    }
+
+    /// `packet_hits_aabb` on vectors: the mask of surviving lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn hits_box(l: &Lanes, lo: Vec3, hi: Vec3, best_t: __m256) -> __m256 {
+        let mut t0 = _mm256_set1_ps(1e-4);
+        let mut t1 = best_t;
+        let planes = [(lo.x, hi.x), (lo.y, hi.y), (lo.z, hi.z)];
+        for (axis, (lo, hi)) in planes.into_iter().enumerate() {
+            let near = _mm256_mul_ps(_mm256_sub_ps(_mm256_set1_ps(lo), l.o[axis]), l.inv[axis]);
+            let far = _mm256_mul_ps(_mm256_sub_ps(_mm256_set1_ps(hi), l.o[axis]), l.inv[axis]);
+            let swap = _mm256_cmp_ps::<_CMP_GT_OQ>(near, far);
+            let n = _mm256_blendv_ps(near, far, swap);
+            let f = _mm256_blendv_ps(far, near, swap);
+            t0 = _mm256_max_ps(n, t0);
+            t1 = _mm256_min_ps(f, t1);
+        }
+        _mm256_cmp_ps::<_CMP_LE_OQ>(t0, t1)
+    }
+
+    /// `ray_sphere` on vectors: each lane's `t` on the sphere at `c`, and
+    /// the mask of `live` lanes that hit it nearer than their `best_t`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn hit_sphere(
+        l: &Lanes,
+        c: Vec3,
+        r2: __m256,
+        live: __m256,
+        best_t: __m256,
+    ) -> (__m256, __m256) {
+        let eps = _mm256_set1_ps(1e-4);
+        let ocx = _mm256_sub_ps(l.o[0], _mm256_set1_ps(c.x));
+        let ocy = _mm256_sub_ps(l.o[1], _mm256_set1_ps(c.y));
+        let ocz = _mm256_sub_ps(l.o[2], _mm256_set1_ps(c.z));
+        let oc = [ocx, ocy, ocz];
+        let b = dot(oc, l.d);
+        let csq = _mm256_sub_ps(dot(oc, oc), r2);
+        let disc = _mm256_sub_ps(_mm256_mul_ps(b, b), csq);
+        let miss = _mm256_cmp_ps::<_CMP_LT_OQ>(disc, _mm256_setzero_ps());
+        let sq = _mm256_sqrt_ps(disc);
+        let neg_b = _mm256_xor_ps(b, _mm256_set1_ps(-0.0));
+        let near = _mm256_sub_ps(neg_b, sq);
+        let far = _mm256_add_ps(neg_b, sq);
+        let behind = _mm256_cmp_ps::<_CMP_LE_OQ>(near, eps);
+        let t = _mm256_blendv_ps(near, far, behind);
+        let reject = _mm256_or_ps(
+            _mm256_or_ps(
+                miss,
+                _mm256_and_ps(behind, _mm256_cmp_ps::<_CMP_LE_OQ>(far, eps)),
+            ),
+            _mm256_cmp_ps::<_CMP_GE_OQ>(t, best_t),
+        );
+        (t, _mm256_andnot_ps(reject, live))
+    }
+
+    /// `Vec3::dot` per lane, in its summation order.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn dot(a: [__m256; 3], b: [__m256; 3]) -> __m256 {
+        _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(a[0], b[0]), _mm256_mul_ps(a[1], b[1])),
+            _mm256_mul_ps(a[2], b[2]),
+        )
+    }
 }
 
 impl SphereBvh {
@@ -631,60 +877,45 @@ impl SphereBvh {
         }
         let mut ops = n as u64; // Morton pass visits every primitive once
 
+        use rayon::prelude::*;
+        // Per-primitive work runs over contiguous chunks — one parallel
+        // item per chunk, so the pipeline's per-item cost is amortized
+        // over thousands of primitives.
+        let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(4096);
+
         // 1. Quantize centers into the centroid bounds and Morton-encode.
-        let mut cb = Aabb::empty();
-        for &c in centers {
-            cb.expand_point(c);
-        }
+        //    The per-chunk bounds union to the serial result: min/max are
+        //    exact, and the sign of a zero bound cannot change a code.
+        let cb = centers
+            .par_chunks(chunk)
+            .map(|cs| {
+                let mut b = Aabb::empty();
+                for &c in cs {
+                    b.expand_point(c);
+                }
+                b
+            })
+            .reduce(Aabb::empty, |a, b| a.union(&b));
         let extent = cb.extent();
         let scale = Vec3::new(
             if extent.x > 0.0 { 1024.0 / extent.x } else { 0.0 },
             if extent.y > 0.0 { 1024.0 / extent.y } else { 0.0 },
             if extent.z > 0.0 { 1024.0 / extent.z } else { 0.0 },
         );
-        use rayon::prelude::*;
-        // Per-primitive work goes through `par_chunks_mut` — one parallel
-        // item per contiguous chunk, so the pipeline's per-item cost is
-        // amortized over thousands of primitives.
-        let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(4096);
-        let mut pairs: Vec<MortonPrim> = vec![MortonPrim::default(); n];
-        pairs.par_chunks_mut(chunk).enumerate().for_each(|(ci, ps)| {
-            let base = ci * chunk;
-            for (i, slot) in ps.iter_mut().enumerate() {
-                let (x, y, z) = quantize(centers[base + i], cb.min, scale);
-                *slot = MortonPrim {
-                    code: morton3(x, y, z),
-                    prim: (base + i) as u32,
-                };
-            }
+        let keys = par_collect(n, chunk, |i| {
+            let (x, y, z) = quantize(centers[i], cb.min, scale);
+            morton3(x, y, z)
         });
 
         // 2. Radix-sort by code (stable, O(N), parallel).
-        radix_sort_morton(&mut pairs);
+        let (codes, prim_index) = radix_sort_morton(keys);
         ops += RADIX_PASSES as u64 * n as u64;
 
-        // 3. Reorder primitives into Morton order once, right after the
+        // 3. Reorder the centers into Morton order once, right after the
         //    sort: the single random-access gather of the whole build.
         //    Every later phase (treelet bounds, leaf payloads, traversal)
-        //    reads the reordered arrays sequentially.
-        let mut codes: Vec<u32> = vec![0; n];
-        let mut sorted_centers: Vec<Vec3> = vec![Vec3::ZERO; n];
-        let mut prim_index: Vec<u32> = vec![0; n];
-        codes
-            .par_chunks_mut(chunk)
-            .zip(sorted_centers.par_chunks_mut(chunk))
-            .zip(prim_index.par_chunks_mut(chunk))
-            .enumerate()
-            .for_each(|(ci, ((ks, cs), ps))| {
-                let base = ci * chunk;
-                for i in 0..ks.len() {
-                    let mp = pairs[base + i];
-                    ks[i] = mp.code;
-                    cs[i] = centers[mp.prim as usize];
-                    ps[i] = mp.prim;
-                }
-            });
-        drop(pairs);
+        //    reads the reordered array sequentially.
+        let sorted_centers = par_collect(n, chunk, |i| centers[prim_index[i] as usize]);
 
         // 4. Treelets: runs of equal high-prefix bits, emitted in parallel.
         let prefix_shift = MORTON_BITS - TREELET_PREFIX_BITS;
@@ -879,17 +1110,33 @@ impl SphereBvh {
     /// result is bit-identical to a scalar [`SphereBvh::intersect`] of the
     /// same ray. `steps` counts packet node visits + packet sphere tests
     /// (one per packet, not per lane — the packet is the unit of work).
+    ///
+    /// Runs the AVX2 kernel where the CPU has it (checked once per call)
+    /// and the portable kernel otherwise; both return the same bits and
+    /// count the same steps.
     pub fn intersect_packet(
         &self,
         p: &RayPacket,
         t_max: f32,
         steps: &mut u64,
     ) -> [Option<SphereHit>; PACKET_WIDTH] {
-        let mut best: [Option<SphereHit>; PACKET_WIDTH] = [None; PACKET_WIDTH];
+        self.intersect_packet_avx2(p, t_max, steps)
+            .unwrap_or_else(|| self.intersect_packet_portable(p, t_max, steps))
+    }
+
+    /// The portable packet kernel: plain `[f32; 8]` lane loops. The
+    /// fallback where AVX2 is missing, and the AVX2 kernel's oracle.
+    pub fn intersect_packet_portable(
+        &self,
+        p: &RayPacket,
+        t_max: f32,
+        steps: &mut u64,
+    ) -> [Option<SphereHit>; PACKET_WIDTH] {
         if self.centers.is_empty() {
-            return best;
+            return [None; PACKET_WIDTH];
         }
         let mut best_t = [t_max; PACKET_WIDTH];
+        let mut best_slot = [NO_HIT; PACKET_WIDTH];
         let r2 = self.radius * self.radius;
         let mut stack = [0u32; 96];
         let mut sp = 0usize;
@@ -899,7 +1146,8 @@ impl SphereBvh {
             sp -= 1;
             let node = &self.nodes[stack[sp] as usize];
             *steps += 1;
-            if !packet_hits_aabb(p, &node.bounds, &best_t) {
+            let live = packet_hits_aabb(p, &node.bounds, &best_t);
+            if !live.contains(&true) {
                 continue;
             }
             if node.count > 0 {
@@ -907,7 +1155,7 @@ impl SphereBvh {
                 for slot in start..start + node.count as usize {
                     *steps += 1;
                     let c = self.centers[slot];
-                    for l in 0..PACKET_WIDTH {
+                    for l in (0..PACKET_WIDTH).filter(|&l| live[l]) {
                         // Same op order as ray_sphere: oc = o - c,
                         // b = oc·d, csq = oc·oc - r², disc = b² - csq.
                         let ocx = p.ox[l] - c.x;
@@ -930,19 +1178,8 @@ impl SphereBvh {
                         if t >= best_t[l] {
                             continue;
                         }
-                        let pos = Vec3::new(
-                            p.ox[l] + p.dx[l] * t,
-                            p.oy[l] + p.dy[l] * t,
-                            p.oz[l] + p.dz[l] * t,
-                        );
-                        let normal = (pos - c) / self.radius;
                         best_t[l] = t;
-                        best[l] = Some(SphereHit {
-                            t,
-                            prim: self.prim_index[slot],
-                            position: pos,
-                            normal,
-                        });
+                        best_slot[l] = slot as u32;
                     }
                 }
             } else {
@@ -958,7 +1195,55 @@ impl SphereBvh {
                 }
             }
         }
-        best
+        self.packet_hits(p, &best_t, &best_slot)
+    }
+
+    /// The AVX2 packet kernel, or `None` where the CPU lacks AVX2 (or the
+    /// target is not x86-64). Called directly by the oracle tests.
+    pub fn intersect_packet_avx2(
+        &self,
+        p: &RayPacket,
+        t_max: f32,
+        steps: &mut u64,
+    ) -> Option<[Option<SphereHit>; PACKET_WIDTH]> {
+        #[cfg(target_arch = "x86_64")]
+        if avx2::available() {
+            if self.centers.is_empty() {
+                return Some([None; PACKET_WIDTH]);
+            }
+            // SAFETY: `available` confirmed AVX2.
+            let (best_t, best_slot) = unsafe { avx2::traverse(self, p, t_max, steps) };
+            return Some(self.packet_hits(p, &best_t, &best_slot));
+        }
+        let _ = (p, t_max, steps); // no AVX2 here: nothing to run
+        None
+    }
+
+    /// Each lane's hit record from its nearest `t` and slot, built with
+    /// the scalar path's expressions (`ray.at(t)`, `(pos - c) / r`).
+    fn packet_hits(
+        &self,
+        p: &RayPacket,
+        best_t: &[f32; PACKET_WIDTH],
+        best_slot: &[u32; PACKET_WIDTH],
+    ) -> [Option<SphereHit>; PACKET_WIDTH] {
+        std::array::from_fn(|l| {
+            let slot = best_slot[l];
+            (slot != NO_HIT).then(|| {
+                let t = best_t[l];
+                let position = Vec3::new(
+                    p.ox[l] + p.dx[l] * t,
+                    p.oy[l] + p.dy[l] * t,
+                    p.oz[l] + p.dz[l] * t,
+                );
+                SphereHit {
+                    t,
+                    prim: self.prim_index[slot as usize],
+                    position,
+                    normal: (position - self.centers[slot as usize]) / self.radius,
+                }
+            })
+        })
     }
 
     /// Brute-force reference intersection (for tests).
@@ -1310,20 +1595,24 @@ mod tests {
     #[test]
     fn radix_sort_sorts_and_is_stable() {
         let mut s = 99u64;
-        let mut pairs: Vec<MortonPrim> = (0..50_000u32)
-            .map(|i| {
+        let keys: Vec<u32> = (0..50_000u32)
+            .map(|_| {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                MortonPrim {
-                    // narrow key range forces duplicates (stability check)
-                    code: ((s >> 40) as u32) & 0xffff,
-                    prim: i,
-                }
+                // narrow key range forces duplicates (stability check)
+                ((s >> 40) as u32) & 0xffff
             })
             .collect();
-        let mut reference = pairs.clone();
-        radix_sort_morton(&mut pairs);
-        reference.sort_by_key(|p| (p.code, p.prim)); // stable == by (code, insertion)
-        assert_eq!(pairs, reference);
+        let mut reference: Vec<(u32, u32)> = keys.iter().copied().zip(0..).collect();
+        reference.sort(); // stable == by (code, index)
+        let (sorted, index) = radix_sort_morton(keys);
+        assert_eq!(sorted, reference.iter().map(|r| r.0).collect::<Vec<_>>());
+        assert_eq!(index, reference.iter().map(|r| r.1).collect::<Vec<_>>());
+        for n in [0, 1, 2, 63, 65] {
+            let keys: Vec<u32> = (0..n as u32).rev().collect();
+            let (sorted, index) = radix_sort_morton(keys);
+            assert_eq!(sorted, (0..n as u32).collect::<Vec<_>>(), "n={n}");
+            assert_eq!(index, (0..n as u32).rev().collect::<Vec<_>>(), "n={n}");
+        }
     }
 
     #[test]
@@ -1339,5 +1628,76 @@ mod tests {
             let mut steps = 0;
             assert!(bvh.intersect(&r, f32::MAX, &mut steps).is_some());
         }
+    }
+
+    /// FNV-1a over 32-bit words.
+    fn fnv(words: impl IntoIterator<Item = u32>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Clustered scatter with exact duplicates: halos of varied size and
+    /// spread over a uniform background, the shape HLBVH treelets see on
+    /// HACC data.
+    fn clustered(n: usize) -> Vec<Vec3> {
+        let mut s = 0x5eed_u64;
+        let mut f = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) as f64 / (1u64 << 31) as f64) as f32
+        };
+        let halos: Vec<(Vec3, f32)> = (0..24)
+            .map(|_| (Vec3::new(f(), f(), f()) * 8.0, 0.02 + f() * 0.3))
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = match i % 10 {
+                0..=2 => Vec3::new(f(), f(), f()) * 8.0,
+                9 if i > 0 => out[i / 2],
+                _ => {
+                    let (c, r) = halos[i % halos.len()];
+                    let g = |f: &mut dyn FnMut() -> f32| (f() + f() + f() - 1.5) * r;
+                    c + Vec3::new(g(&mut f), g(&mut f), g(&mut f))
+                }
+            };
+            out.push(p);
+        }
+        out
+    }
+
+    #[test]
+    fn hlbvh_layout_is_pinned() {
+        // Recorded before the SIMD packet kernel and the build rework: the
+        // node array, reordered centers, primitive map and op count of a
+        // fixed clustered input must not drift.
+        let bvh = SphereBvh::build(&clustered(60_000), 0.01);
+        let nodes = fnv(bvh.nodes.iter().flat_map(|n| {
+            let b = n.bounds;
+            [
+                b.min.x.to_bits(),
+                b.min.y.to_bits(),
+                b.min.z.to_bits(),
+                b.max.x.to_bits(),
+                b.max.y.to_bits(),
+                b.max.z.to_bits(),
+                n.payload,
+                n.count as u32,
+                n.axis as u32,
+            ]
+        }));
+        let centers = fnv(bvh
+            .centers
+            .iter()
+            .flat_map(|c| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()]));
+        let prims = fnv(bvh.prim_index.iter().copied());
+        assert_eq!(bvh.nodes.len(), 23_321);
+        assert_eq!(nodes, 0xdac3_0564_df18_d31b, "node array drifted");
+        assert_eq!(centers, 0x4de4_e85c_f518_a97f, "reordered centers drifted");
+        assert_eq!(prims, 0x4c98_afc8_45e7_d415, "primitive map drifted");
+        assert_eq!(bvh.build_ops, 311_661);
     }
 }

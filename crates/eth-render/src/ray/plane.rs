@@ -36,6 +36,7 @@ pub fn render_slices(
     let values = grid.scalar(field)?.to_vec();
     let width = camera.width;
     let height = camera.height;
+    let primary = camera.primary_rays();
 
     let rows: Vec<(Vec<(f32, Vec3)>, PlaneRaycastStats)> = (0..height)
         .into_par_iter()
@@ -43,7 +44,7 @@ pub fn render_slices(
             let mut row = Vec::with_capacity(width);
             let mut st = PlaneRaycastStats::default();
             for px in 0..width {
-                let ray = camera.primary_ray(px, py);
+                let ray = primary.ray(px, py);
                 st.rays += 1;
                 let mut best_t = f32::INFINITY;
                 let mut best_color = background;

@@ -54,6 +54,7 @@ pub fn render_isosurface(
     let height = camera.height;
 
     let tiles = tile::tiles(width, height, DEFAULT_TILE);
+    let primary = camera.primary_rays();
     let results: Vec<(Vec<(f32, Vec3)>, RaymarchStats)> = tiles
         .par_iter()
         .map(|t| {
@@ -61,7 +62,7 @@ pub fn render_isosurface(
             let mut pixels = Vec::with_capacity(t.pixels());
             let mut st = RaymarchStats::default();
             for (px, py) in t.pixels_iter() {
-                let ray = camera.primary_ray(px, py);
+                let ray = primary.ray(px, py);
                 st.rays += 1;
                 let inv = ray.inv_dir();
                 let Some((t0, t1)) = bounds.ray_intersect(ray.origin, inv, 1e-4, f32::MAX)

@@ -9,9 +9,12 @@
 //! framebuffer tile (see [`crate::tile`]), and within a tile rays advance
 //! through the BVH eight at a time ([`RayPacket`]) — adjacent pixels walk
 //! almost the same node path, so one packet visit amortizes the node
-//! fetch across all coherent lanes. Lane arithmetic mirrors the scalar
-//! path operation-for-operation, so tiled/packet frames are byte-identical
-//! to a scalar per-pixel render.
+//! fetch across all coherent lanes. Primary rays are generated straight
+//! into the packet's SoA lanes from the camera's per-frame terms, computed
+//! once per frame ([`crate::camera::PrimaryRays`]). Lane arithmetic — the
+//! AVX2 kernel's or the portable one's, see [`crate::ray::bvh`] — mirrors
+//! the scalar path operation-for-operation, so tiled/packet frames are
+//! byte-identical to a scalar per-pixel render.
 //!
 //! [`SphereRaycaster::render_progressive`] trades latency for completeness
 //! the way interactive in-situ viewers do: a strided coarse pass fills the
@@ -19,7 +22,7 @@
 //! halve the stride and refine in place until the image equals the full
 //! render bit-for-bit.
 
-use crate::camera::{Camera, Ray};
+use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::ray::bvh::{RayPacket, SphereBvh, SphereHit, PACKET_WIDTH};
@@ -61,36 +64,35 @@ pub struct ProgressivePass {
 /// A built sphere-raycasting scene: keeps the acceleration structure so the
 /// paper's "initial structure-generation phase" can be timed separately
 /// from per-frame rendering (Figure 8's sub-linear scaling rests on this
-/// split).
-pub struct SphereRaycaster {
+/// split). It borrows the color attribute from the cloud it was built
+/// over rather than copying it.
+pub struct SphereRaycaster<'a> {
     bvh: SphereBvh,
-    scalars: Option<Vec<f32>>,
+    scalars: Option<&'a [f32]>,
 }
 
-impl SphereRaycaster {
+impl<'a> SphereRaycaster<'a> {
     /// Build the acceleration structure over a point cloud.
     ///
     /// * `scalar` — optional attribute for color lookup.
     /// * `radius` — world-space particle radius.
-    pub fn build(cloud: &PointCloud, scalar: Option<&str>, radius: f32) -> SphereRaycaster {
-        let scalars = scalar
-            .and_then(|name| cloud.scalar(name).ok())
-            .map(|s| s.to_vec());
+    pub fn build(cloud: &'a PointCloud, scalar: Option<&str>, radius: f32) -> SphereRaycaster<'a> {
         SphereRaycaster {
             bvh: SphereBvh::build(cloud.positions(), radius),
-            scalars,
+            scalars: scalar.and_then(|name| cloud.scalar(name).ok()),
         }
     }
 
     /// Like [`SphereRaycaster::build`] but with the median-split baseline
     /// builder (benchmarks and byte-identity tests).
-    pub fn build_median(cloud: &PointCloud, scalar: Option<&str>, radius: f32) -> SphereRaycaster {
-        let scalars = scalar
-            .and_then(|name| cloud.scalar(name).ok())
-            .map(|s| s.to_vec());
+    pub fn build_median(
+        cloud: &'a PointCloud,
+        scalar: Option<&str>,
+        radius: f32,
+    ) -> SphereRaycaster<'a> {
         SphereRaycaster {
             bvh: SphereBvh::build_median(cloud.positions(), radius),
-            scalars,
+            scalars: scalar.and_then(|name| cloud.scalar(name).ok()),
         }
     }
 
@@ -102,23 +104,24 @@ impl SphereRaycaster {
         self.bvh.num_primitives()
     }
 
-    /// Shade one hit (or miss) into a `(depth, color)` fragment.
+    /// Shade one hit (or miss) of a ray along `dir` into a
+    /// `(depth, color)` fragment.
     #[inline]
     fn shade(
         &self,
         hit: Option<SphereHit>,
-        ray: &Ray,
+        dir: Vec3,
         tf: &TransferFunction,
         lighting: &Lighting,
         background: Vec3,
     ) -> (f32, Vec3) {
         match hit {
             Some(hit) => {
-                let value = match &self.scalars {
+                let value = match self.scalars {
                     Some(s) => s[hit.prim as usize],
                     None => hit.t,
                 };
-                (hit.t, lighting.shade(tf.color(value), hit.normal, -ray.dir))
+                (hit.t, lighting.shade(tf.color(value), hit.normal, -dir))
             }
             None => (f32::INFINITY, background),
         }
@@ -150,6 +153,7 @@ impl SphereRaycaster {
         let width = camera.width;
         let height = camera.height;
         let tiles = tile::tiles(width, height, tile_size);
+        let primary = camera.primary_rays();
         let results: Vec<TracedPixels> = tiles
             .par_iter()
             .map(|t| {
@@ -157,22 +161,15 @@ impl SphereRaycaster {
                 let mut pixels = Vec::with_capacity(t.pixels());
                 let mut steps = 0u64;
                 let mut hits = 0u64;
-                let mut rays: Vec<Ray> = Vec::with_capacity(PACKET_WIDTH);
                 for py in t.y0..t.y0 + t.h {
                     let mut px = t.x0;
                     while px < t.x0 + t.w {
                         let lanes = PACKET_WIDTH.min(t.x0 + t.w - px);
-                        rays.clear();
-                        for l in 0..lanes {
-                            rays.push(camera.primary_ray(px + l, py));
-                        }
-                        let packet = RayPacket::from_rays(&rays);
+                        let packet = RayPacket::from_fn(lanes, |l| primary.ray(px + l, py));
                         let lane_hits = self.bvh.intersect_packet(&packet, f32::MAX, &mut steps);
-                        for l in 0..lanes {
-                            if lane_hits[l].is_some() {
-                                hits += 1;
-                            }
-                            pixels.push(self.shade(lane_hits[l], &rays[l], tf, lighting, background));
+                        for (l, hit) in lane_hits.into_iter().take(lanes).enumerate() {
+                            hits += hit.is_some() as u64;
+                            pixels.push(self.shade(hit, packet.dir(l), tf, lighting, background));
                         }
                         px += lanes;
                     }
@@ -218,6 +215,7 @@ impl SphereRaycaster {
         let width = camera.width;
         let height = camera.height;
         let stride0 = initial_stride.next_power_of_two().clamp(2, 64);
+        let primary = camera.primary_rays();
         let mut fb = Framebuffer::new(width, height, background);
         let mut stats = SphereRaycastStats {
             particles: self.bvh.num_primitives(),
@@ -248,18 +246,17 @@ impl SphereRaycaster {
             let traced: Vec<TracedPixels> = anchors
                 .par_chunks(PACKET_WIDTH)
                 .map(|chunk| {
-                    let rays: Vec<Ray> =
-                        chunk.iter().map(|&(x, y)| camera.primary_ray(x, y)).collect();
-                    let packet = RayPacket::from_rays(&rays);
+                    let packet = RayPacket::from_fn(chunk.len(), |l| {
+                        let (x, y) = chunk[l];
+                        primary.ray(x, y)
+                    });
                     let mut steps = 0u64;
                     let mut hits = 0u64;
                     let lane_hits = self.bvh.intersect_packet(&packet, f32::MAX, &mut steps);
                     let frags = (0..chunk.len())
                         .map(|l| {
-                            if lane_hits[l].is_some() {
-                                hits += 1;
-                            }
-                            self.shade(lane_hits[l], &rays[l], tf, lighting, background)
+                            hits += lane_hits[l].is_some() as u64;
+                            self.shade(lane_hits[l], packet.dir(l), tf, lighting, background)
                         })
                         .collect();
                     (frags, steps, hits)
@@ -413,7 +410,8 @@ mod tests {
 
     #[test]
     fn empty_cloud_gives_background() {
-        let rc = SphereRaycaster::build(&PointCloud::new(), None, 0.5);
+        let empty = PointCloud::new();
+        let rc = SphereRaycaster::build(&empty, None, 0.5);
         let (fb, stats) = rc.render(&cam(16), &tf(), &Lighting::default(), Vec3::splat(0.3));
         assert_eq!(stats.hits, 0);
         assert_eq!(fb.color_at(8, 8), Vec3::splat(0.3));

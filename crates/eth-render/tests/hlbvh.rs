@@ -115,3 +115,38 @@ fn hlbvh_build_is_reproducible_for_large_scatters() {
     let (f2, _) = rc.render(&camera, &tf(), &lighting, Vec3::ZERO);
     assert_eq!(f1, f2);
 }
+
+/// FNV-1a over 32-bit words.
+fn fnv(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn raycast_frame_is_pinned() {
+    // Recorded before the SIMD packet kernel and the SoA ray setup: the
+    // frame's colors and depths, and the traversal count, must not drift.
+    let centers = scatter(40_000, 17);
+    let mut cloud = PointCloud::from_positions(centers.clone());
+    let values = centers.iter().map(|c| c.length() * 2.0).collect();
+    cloud
+        .set_attribute("v", eth_data::field::Attribute::Scalar(values))
+        .unwrap();
+    let rc = SphereRaycaster::build(&cloud, Some("v"), 0.008);
+    let (fb, stats) = rc.render(&cam(160, 120), &tf(), &Lighting::default(), Vec3::splat(0.1));
+    let colors = fnv(fb
+        .color_buffer()
+        .iter()
+        .flat_map(|c| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()]));
+    let depths = fnv(fb.depth_buffer().iter().map(|d| d.to_bits()));
+    assert_eq!(colors, 0x33cc_9c08_ea64_d427, "colors drifted");
+    assert_eq!(depths, 0x4a35_0e4e_9690_3804, "depths drifted");
+    assert_eq!(stats.hits, 9_193);
+    assert_eq!(stats.traversal_steps, 517_919);
+    assert_eq!(stats.build_ops, 207_223);
+}

@@ -5,13 +5,79 @@ use eth_render::color::{Colormap, TransferFunction};
 use eth_render::composite::{composite_binary_swap, composite_direct};
 use eth_render::framebuffer::Framebuffer;
 use eth_render::geometry::marching_cubes::extract_isosurface;
-use eth_render::ray::bvh::{RayPacket, SphereBvh};
+use eth_render::ray::bvh::{RayPacket, SphereBvh, SphereHit, PACKET_WIDTH};
 use eth_data::field::Attribute;
 use eth_data::{UniformGrid, Vec3};
 use proptest::prelude::*;
 
 fn arb_vec3(r: f32) -> impl Strategy<Value = Vec3> {
     (-r..r, -r..r, -r..r).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
+/// A hit's bits: `t`, `prim`, `position`, `normal`.
+type HitBits = (u32, u32, [u32; 3], [u32; 3]);
+
+fn bits(hit: Option<SphereHit>) -> Option<HitBits> {
+    let v = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+    hit.map(|h| (h.t.to_bits(), h.prim, v(h.position), v(h.normal)))
+}
+
+/// Run both packet kernels directly — not through the dispatch, so the
+/// portable one stays covered on AVX2 hosts — and hold each to the
+/// scalar traversal: every filled lane equals a scalar `intersect` of its
+/// ray bit for bit, and the two kernels agree on all eight lanes and on
+/// the step count.
+fn check_kernels(bvh: &SphereBvh, rays: &[Ray], t_max: f32) -> Result<(), TestCaseError> {
+    let packet = RayPacket::from_rays(rays);
+    let mut portable_steps = 0;
+    let portable = bvh.intersect_packet_portable(&packet, t_max, &mut portable_steps);
+    for (l, ray) in rays.iter().enumerate() {
+        let mut steps = 0;
+        let scalar = bvh.intersect(ray, t_max, &mut steps);
+        prop_assert_eq!(
+            bits(portable[l]),
+            bits(scalar),
+            "portable lane {} vs scalar: {:?} vs {:?} on {:?}",
+            l,
+            portable[l],
+            scalar,
+            ray
+        );
+    }
+    let mut simd_steps = 0;
+    if let Some(simd) = bvh.intersect_packet_avx2(&packet, t_max, &mut simd_steps) {
+        for l in 0..PACKET_WIDTH {
+            prop_assert_eq!(bits(simd[l]), bits(portable[l]), "avx2 lane {} vs portable", l);
+        }
+        prop_assert_eq!(simd_steps, portable_steps, "kernels counted different steps");
+    }
+    let mut dispatched_steps = 0;
+    let dispatched = bvh.intersect_packet(&packet, t_max, &mut dispatched_steps);
+    prop_assert_eq!(dispatched.map(bits), portable.map(bits));
+    prop_assert_eq!(dispatched_steps, portable_steps);
+    Ok(())
+}
+
+/// Whether every ray's direction has lane 0's sign on each axis. The
+/// packet orders children by lane 0's direction and a scalar walk by its
+/// own, so on an exact tie in `t` (coincident spheres) only such bundles
+/// promise the same first-found sphere.
+fn same_octant(rays: &[Ray]) -> bool {
+    let octant = |r: &Ray| [r.dir.x >= 0.0, r.dir.y >= 0.0, r.dir.z >= 0.0];
+    rays.iter().all(|r| octant(r) == octant(&rays[0]))
+}
+
+/// `lanes` coherent rays from `origin` around direction `base`.
+fn bundle(origin: Vec3, base: Vec3, lanes: usize, spread: f32) -> Vec<Ray> {
+    (0..lanes)
+        .map(|l| {
+            let jitter = Vec3::new(l as f32, (l * l) as f32 * 0.3, -(l as f32) * 0.7) * spread;
+            Ray {
+                origin,
+                dir: (base + jitter).normalized(),
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -222,5 +288,132 @@ proptest! {
         prop_assert!((ab - ba).abs() < 1e-12);
         prop_assert_eq!(a.rmse(&a).unwrap(), 0.0);
         prop_assert!(ab >= 0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Coherent bundles of 1–8 lanes (partial packets included), with
+    /// and without a finite `t_max`.
+    #[test]
+    fn packet_kernels_match_scalar(
+        centers in prop::collection::vec(arb_vec3(3.0), 1..150),
+        origin in arb_vec3(8.0),
+        target in arb_vec3(2.0),
+        radius in 0.05f32..0.5,
+        (lanes, t_max) in (1usize..9, 0.0f32..16.0),
+    ) {
+        prop_assume!((target - origin).length() > 1e-3);
+        let bvh = SphereBvh::build(&centers, radius);
+        let rays = bundle(origin, target - origin, lanes, 1e-3);
+        check_kernels(&bvh, &rays, t_max)?;
+        check_kernels(&bvh, &rays, f32::MAX)?;
+    }
+
+    /// Axis-parallel rays (zero direction components, either sign of
+    /// zero) over grid-snapped centers, so that origins land exactly on
+    /// slab planes: `0 · ∞` is NaN in the slab test.
+    #[test]
+    fn packet_kernels_match_scalar_on_axis_parallel_rays(
+        cells in prop::collection::vec((0i32..12, 0i32..12, 0i32..12), 1..120),
+        origin in (0i32..12, 0i32..12, 0i32..12),
+        nonzero in 1u32..8,
+        signs in 0u32..8,
+        zero_signs in 0u32..8,
+        lanes in 1usize..9,
+    ) {
+        let grid = |(x, y, z): (i32, i32, i32)| Vec3::new(x as f32, y as f32, z as f32) * 0.25;
+        let centers: Vec<Vec3> = cells.into_iter().map(grid).collect();
+        let bvh = SphereBvh::build(&centers, 0.25);
+        let component = |axis: u32| {
+            let sign = if signs >> axis & 1 == 1 { -1.0f32 } else { 1.0 };
+            if nonzero >> axis & 1 == 1 {
+                sign * (1.0 + axis as f32)
+            } else if zero_signs >> axis & 1 == 1 {
+                -0.0
+            } else {
+                0.0
+            }
+        };
+        let dir = Vec3::new(component(0), component(1), component(2)).normalized();
+        let start = grid(origin) - dir * 4.0;
+        let rays: Vec<Ray> = (0..lanes)
+            .map(|l| {
+                // lanes step along the zero axes on the 0.25 grid
+                let step = Vec3::new(
+                    if dir.x == 0.0 { 0.25 } else { 0.0 },
+                    if dir.y == 0.0 { 0.25 } else { 0.0 },
+                    if dir.z == 0.0 { 0.25 } else { 0.0 },
+                );
+                Ray { origin: start + step * (l as f32 * 0.5), dir }
+            })
+            .collect();
+        check_kernels(&bvh, &rays, f32::MAX)?;
+    }
+
+    /// Origins inside a sphere: the near root is behind the origin and
+    /// the far root must win.
+    #[test]
+    fn packet_kernels_match_scalar_from_inside_a_sphere(
+        centers in prop::collection::vec(arb_vec3(2.0), 1..100),
+        pick in 0usize..100,
+        offset in arb_vec3(1.0),
+        dir in arb_vec3(1.0),
+        radius in 0.1f32..0.6,
+        lanes in 1usize..9,
+    ) {
+        prop_assume!(dir.length() > 1e-2);
+        let inside = centers[pick % centers.len()] + offset * (radius * 0.5);
+        let bvh = SphereBvh::build(&centers, radius);
+        check_kernels(&bvh, &bundle(inside, dir, lanes, 2e-3), f32::MAX)?;
+    }
+
+    /// Grazing rays: tangent to a sphere to within a few ulps, so the
+    /// discriminant sits at zero and lanes split between hit and miss.
+    #[test]
+    fn packet_kernels_match_scalar_on_grazing_rays(
+        centers in prop::collection::vec(arb_vec3(2.0), 1..100),
+        pick in 0usize..100,
+        dir in arb_vec3(1.0),
+        side in arb_vec3(1.0),
+        radius in 0.05f32..0.5,
+        lanes in 1usize..9,
+    ) {
+        let d = dir.normalized();
+        let u = d.cross(side).normalized();
+        prop_assume!(dir.length() > 1e-2 && u.length() > 0.5);
+        let c = centers[pick % centers.len()];
+        let bvh = SphereBvh::build(&centers, radius);
+        let rays: Vec<Ray> = (0..lanes)
+            .map(|l| {
+                let miss = 1.0 + (l as f32 - 3.5) * 2e-7;
+                Ray { origin: c + u * (radius * miss) - d * 6.0, dir: d }
+            })
+            .collect();
+        check_kernels(&bvh, &rays, f32::MAX)?;
+    }
+
+    /// Coincident centers: many spheres tie on `t`, and the first found
+    /// must win in every kernel, as in the scalar walk.
+    #[test]
+    fn packet_kernels_match_scalar_on_coincident_centers(
+        spots in prop::collection::vec(arb_vec3(2.0), 1..4),
+        copies in 2usize..40,
+        extra in prop::collection::vec(arb_vec3(2.0), 0..40),
+        origin in arb_vec3(8.0),
+        radius in 0.05f32..0.5,
+        lanes in 1usize..9,
+    ) {
+        let mut centers = extra;
+        for i in 0..copies {
+            centers.insert(i * 7 % (centers.len() + 1), spots[i % spots.len()]);
+        }
+        let target = spots[0];
+        prop_assume!((target - origin).length() > 1.0);
+        let bvh = SphereBvh::build(&centers, radius);
+        let rays = bundle(origin, target - origin, lanes, 1e-3);
+        prop_assume!(same_octant(&rays));
+        check_kernels(&bvh, &rays, f32::MAX)?;
     }
 }
