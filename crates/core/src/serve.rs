@@ -924,7 +924,7 @@ impl Service {
         );
         let _ = writeln!(
             out,
-            "# HELP eth_serve_staging_spilled_bytes_total Staged bytes spilled to disk chunks, process lifetime.\n\
+            "# HELP eth_serve_staging_spilled_bytes_total Staged bytes evicted to disk chunks (clean evictions included), process lifetime.\n\
              # TYPE eth_serve_staging_spilled_bytes_total counter\n\
              eth_serve_staging_spilled_bytes_total {}",
             eth_data::staging::process_spilled_bytes()

@@ -16,6 +16,13 @@
 //! budget. A block larger than the whole budget lives on disk and is
 //! decoded straight through on access without being re-admitted.
 //!
+//! **Write-once chunks.** A block's chunk is written the first time the
+//! block leaves memory and is kept after a reload: staged blocks never
+//! change, so a reloaded block stays *clean* and evicting it again only
+//! drops it from memory, with no re-encode and no rewrite. Re-inserting
+//! an index, or dropping the store, deletes its chunk. Disk use is thus
+//! bounded by the total staged bytes, not by staged minus resident.
+//!
 //! **Crash hygiene.** Chunks are written temp-then-rename, so a torn
 //! spill is never read back (decode would refuse the CRC anyway). A
 //! store pointed at an explicit spill directory sweeps stale
@@ -46,7 +53,8 @@ use std::sync::Mutex;
 /// process. The backpressure signal: sweep admission and service
 /// shedding compare this against a policy's watermarks.
 static PROCESS_RESIDENT: AtomicU64 = AtomicU64::new(0);
-/// Total bytes ever spilled to disk across this process.
+/// Total bytes ever evicted to disk across this process (a clean
+/// block's eviction counts, though it rewrites nothing).
 static PROCESS_SPILLED: AtomicU64 = AtomicU64::new(0);
 /// Uniquifier for anonymous spill directories.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -70,9 +78,11 @@ pub struct StagingStats {
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes` over the store's life.
     pub peak_resident_bytes: u64,
-    /// Blocks written to disk (cumulative; a block can spill repeatedly).
+    /// Evictions to disk (cumulative; a block can be evicted repeatedly).
+    /// A clean block's eviction counts too, though it writes nothing.
     pub spills: u64,
-    /// Bytes written to spill chunks (cumulative, encoded size).
+    /// Bytes evicted to disk (cumulative, encoded size), counted like
+    /// `spills`: what would have been written without write-once chunks.
     pub spilled_bytes: u64,
     /// Blocks streamed back from disk.
     pub reloads: u64,
@@ -80,6 +90,10 @@ pub struct StagingStats {
     pub reloaded_bytes: u64,
     /// Total `insert` calls.
     pub inserts: u64,
+    /// Bytes actually written to spill chunks (cumulative, encoded size):
+    /// each staged block's first spill only.
+    #[serde(default)]
+    pub chunk_bytes_written: u64,
 }
 
 enum Slot {
@@ -88,6 +102,9 @@ enum Slot {
         obj: DataObject,
         bytes: u64,
         last_use: u64,
+        /// The block's spill chunk, once written: a clean block evicts
+        /// without rewriting it.
+        chunk: Option<PathBuf>,
     },
     Spilled {
         path: PathBuf,
@@ -166,7 +183,7 @@ impl BlockStore {
         inner.clock += 1;
         let now = inner.clock;
         if self.budget.is_some_and(|b| bytes > b) {
-            let path = self.write_chunk(index, &obj)?;
+            let path = self.write_chunk(&mut inner, index, &obj, bytes)?;
             inner.slots[index] = Slot::Spilled { path, bytes };
             inner.stats.spills += 1;
             inner.stats.spilled_bytes += bytes;
@@ -174,7 +191,12 @@ impl BlockStore {
             return Ok(());
         }
         self.make_room(&mut inner, bytes)?;
-        inner.slots[index] = Slot::Resident { obj, bytes, last_use: now };
+        inner.slots[index] = Slot::Resident {
+            obj,
+            bytes,
+            last_use: now,
+            chunk: None,
+        };
         inner.stats.resident_bytes += bytes;
         PROCESS_RESIDENT.fetch_add(bytes, Ordering::Relaxed);
         inner.stats.peak_resident_bytes =
@@ -185,7 +207,7 @@ impl BlockStore {
     /// Fetch a copy of block `index`, streaming it back from its spill
     /// chunk if it was evicted. Re-admission respects the budget: the
     /// reloaded block only stays resident if it fits after evicting
-    /// colder blocks.
+    /// colder blocks. A re-admitted block keeps its chunk (it is clean).
     pub fn get(&self, index: usize) -> Result<DataObject> {
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.clock += 1;
@@ -205,11 +227,11 @@ impl BlockStore {
                 // larger than the whole budget streams straight through.
                 if self.budget.is_none_or(|b| bytes <= b) {
                     self.make_room(&mut inner, bytes)?;
-                    let _ = fs::remove_file(&path);
                     inner.slots[index] = Slot::Resident {
                         obj: obj.clone(),
                         bytes,
                         last_use: now,
+                        chunk: Some(path),
                     };
                     inner.stats.resident_bytes += bytes;
                     PROCESS_RESIDENT.fetch_add(bytes, Ordering::Relaxed);
@@ -315,13 +337,19 @@ impl BlockStore {
         Ok(true)
     }
 
+    /// Evict resident block `index` to disk, writing its chunk only if
+    /// the block has none yet.
     fn spill_index(&self, inner: &mut Inner, index: usize) -> Result<()> {
-        let Slot::Resident { obj, bytes, .. } =
-            std::mem::replace(&mut inner.slots[index], Slot::Vacant)
+        let Slot::Resident {
+            obj, bytes, chunk, ..
+        } = std::mem::replace(&mut inner.slots[index], Slot::Vacant)
         else {
             return Ok(());
         };
-        let path = self.write_chunk(index, &obj)?;
+        let path = match chunk {
+            Some(path) => path,
+            None => self.write_chunk(inner, index, &obj, bytes)?,
+        };
         inner.slots[index] = Slot::Spilled { path, bytes };
         inner.stats.resident_bytes -= bytes;
         inner.stats.spills += 1;
@@ -334,12 +362,19 @@ impl BlockStore {
     /// Write one block's spill chunk temp-then-rename and return its
     /// final path. A crash mid-write leaves only a `.tmp` orphan, which
     /// the stale-chunk sweep reclaims on resume.
-    fn write_chunk(&self, index: usize, obj: &DataObject) -> Result<PathBuf> {
+    fn write_chunk(
+        &self,
+        inner: &mut Inner,
+        index: usize,
+        obj: &DataObject,
+        bytes: u64,
+    ) -> Result<PathBuf> {
         fs::create_dir_all(&self.dir)?;
         let path = self.chunk_path(index);
         let tmp = path.with_extension("ebd.tmp");
         fs::write(&tmp, Codec::Lossless.encode(obj))?;
         fs::rename(&tmp, &path)?;
+        inner.stats.chunk_bytes_written += bytes;
         Ok(path)
     }
 
@@ -347,9 +382,12 @@ impl BlockStore {
     /// its chunk file.
     fn evict_slot(&self, inner: &mut Inner, index: usize) -> Result<()> {
         match std::mem::replace(&mut inner.slots[index], Slot::Vacant) {
-            Slot::Resident { bytes, .. } => {
+            Slot::Resident { bytes, chunk, .. } => {
                 inner.stats.resident_bytes -= bytes;
                 PROCESS_RESIDENT.fetch_sub(bytes, Ordering::Relaxed);
+                if let Some(path) = chunk {
+                    let _ = fs::remove_file(path);
+                }
             }
             Slot::Spilled { path, .. } => {
                 let _ = fs::remove_file(path);
@@ -369,7 +407,11 @@ impl Drop for BlockStore {
         let inner = self.inner.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
         PROCESS_RESIDENT.fetch_sub(inner.stats.resident_bytes, Ordering::Relaxed);
         for slot in &inner.slots {
-            if let Slot::Spilled { path, .. } = slot {
+            if let Slot::Spilled { path, .. }
+            | Slot::Resident {
+                chunk: Some(path), ..
+            } = slot
+            {
                 let _ = fs::remove_file(path);
             }
         }
@@ -509,6 +551,107 @@ mod tests {
         store.insert(0, block(2, 400)).unwrap();
         assert_eq!(store.stats().resident_bytes, after_first);
         assert_eq!(positions(&store.get(0).unwrap()), positions(&block(2, 400)));
+    }
+
+    /// The W3 sweep's access shape: stage 8 equal blocks under a budget
+    /// for 3, then read them back in order, 4 passes. Returns the store
+    /// and one block's encoded size.
+    fn cyclic_sweep(dir: Option<PathBuf>) -> (BlockStore, u64) {
+        let one = binary::encoded_len(&block(0, 300)) as u64;
+        let store = BlockStore::new(Some(3 * one), dir);
+        for i in 0..8 {
+            store.insert(i, block(i as u64, 300)).unwrap();
+        }
+        for _ in 0..4 {
+            for i in 0..8 {
+                assert_eq!(positions(&store.get(i).unwrap()), positions(&block(i as u64, 300)));
+                store.assert_within_budget();
+            }
+        }
+        (store, one)
+    }
+
+    fn chunk_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .map(|it| {
+                it.flatten()
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .filter(|n| n.starts_with("block_"))
+                    .collect()
+            })
+            .unwrap_or_default();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn cyclic_sweep_writes_each_chunk_once() {
+        let (store, one) = cyclic_sweep(None);
+        let stats = store.stats();
+        // every block leaves memory at least once, and is written once
+        assert_eq!(stats.chunk_bytes_written, 8 * one);
+        assert_eq!(chunk_files(&store.dir).len(), 8);
+        // the eviction counters are the ones a rewrite-on-every-spill
+        // store recorded for the same sequence
+        assert_eq!(one, 4841);
+        assert_eq!(stats.spills, 37);
+        assert_eq!(stats.spilled_bytes, 179_117);
+        assert_eq!(stats.reloads, 32);
+        assert_eq!(stats.reloaded_bytes, 154_912);
+        assert_eq!(stats.peak_resident_bytes, 14_523);
+    }
+
+    #[test]
+    fn stats_recorded_before_chunk_bytes_written_still_load() {
+        let old = r#"{"resident_bytes":1,"peak_resident_bytes":2,"spills":3,
+            "spilled_bytes":4,"reloads":5,"reloaded_bytes":6,"inserts":7}"#;
+        let stats: StagingStats = serde_json::from_str(old).unwrap();
+        assert_eq!(stats.spilled_bytes, 4);
+        assert_eq!(stats.chunk_bytes_written, 0);
+    }
+
+    #[test]
+    fn flipped_byte_in_a_kept_chunk_fails_the_crc_on_reload() {
+        let one = binary::encoded_len(&block(0, 200)) as u64;
+        let store = BlockStore::new(Some(one), None);
+        store.insert(0, block(0, 200)).unwrap();
+        store.insert(1, block(1, 200)).unwrap(); // writes block 0's chunk
+        store.get(0).unwrap(); // reloads 0 (clean), writes 1's chunk
+        store.get(1).unwrap(); // evicts clean 0: no write
+        assert_eq!(store.stats().chunk_bytes_written, 2 * one);
+        let path = store.chunk_path(0);
+        let mut raw = fs::read(&path).unwrap();
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0x40;
+        fs::write(&path, raw).unwrap();
+        assert!(store.get(0).is_err(), "a corrupted kept chunk must not decode");
+    }
+
+    #[test]
+    fn reinserting_a_clean_index_removes_its_old_chunk() {
+        let one = binary::encoded_len(&block(0, 200)) as u64;
+        let store = BlockStore::new(Some(one), None);
+        store.insert(0, block(0, 200)).unwrap();
+        store.insert(1, block(1, 200)).unwrap();
+        store.get(0).unwrap(); // 0 resident and clean, its chunk kept
+        assert!(store.chunk_path(0).exists());
+        store.insert(0, block(9, 200)).unwrap();
+        assert!(!store.chunk_path(0).exists(), "the stale chunk must go");
+        // evicting the new occupant writes its own chunk, not the old one
+        store.get(1).unwrap();
+        assert_eq!(positions(&store.get(0).unwrap()), positions(&block(9, 200)));
+        assert_eq!(store.stats().chunk_bytes_written, 3 * one);
+    }
+
+    #[test]
+    fn dropping_a_store_with_an_explicit_dir_removes_its_chunks() {
+        let dir = std::env::temp_dir().join(format!("eth-staging-drop-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (store, _) = cyclic_sweep(Some(dir.clone()));
+        assert_eq!(chunk_files(&dir).len(), 8);
+        drop(store);
+        assert_eq!(chunk_files(&dir), Vec::<String>::new());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     proptest! {

@@ -61,16 +61,6 @@ impl Framebuffer {
         }
     }
 
-    /// Depth-tested write with bounds clipping; fragments off the image are
-    /// silently discarded. Returns true if the fragment landed.
-    #[inline]
-    pub fn write_clipped(&mut self, x: isize, y: isize, depth: f32, color: Vec3) -> bool {
-        if x < 0 || y < 0 || x as usize >= self.width || y as usize >= self.height {
-            return false;
-        }
-        self.write(x as usize, y as usize, depth, color)
-    }
-
     /// Unconditional write: replace color *and* depth, no depth test.
     /// Tiled renderers use this to land fully-computed tile pixels, and
     /// progressive refinement uses it to overwrite coarse fill-in values
@@ -237,15 +227,6 @@ mod tests {
         assert!(fb.write(0, 0, 4.0, Vec3::new(0.0, 0.0, 1.0)));
         assert_eq!(fb.color_at(0, 0), Vec3::new(0.0, 0.0, 1.0));
         assert_eq!(fb.depth_at(0, 0), 4.0);
-    }
-
-    #[test]
-    fn clipped_writes_discard_out_of_bounds() {
-        let mut fb = Framebuffer::new(2, 2, Vec3::ZERO);
-        assert!(!fb.write_clipped(-1, 0, 1.0, Vec3::ONE));
-        assert!(!fb.write_clipped(0, 2, 1.0, Vec3::ONE));
-        assert!(fb.write_clipped(1, 1, 1.0, Vec3::ONE));
-        assert_eq!(fb.fragments_landed(), 1);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //!   whose per-pixel normals model a sphere,
 //! * [`triangle`] — a z-buffered, perspective-correct triangle rasterizer
 //!   consuming the meshes produced by marching cubes / slicing.
+//!
+//! `splat` and `triangle` draw chunks of primitives through one sparse
+//! chunk z-buffer (`zbuffer`): depth first, shading only for the winners.
 
 pub mod points;
 pub mod splat;
 pub mod triangle;
+mod zbuffer;

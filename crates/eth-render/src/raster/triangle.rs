@@ -11,6 +11,7 @@ use crate::camera::Camera;
 use crate::color::TransferFunction;
 use crate::framebuffer::Framebuffer;
 use crate::geometry::mesh::TriangleMesh;
+use crate::raster::zbuffer::{rasterize_chunks, ChunkZBuffer};
 use crate::shading::Lighting;
 use eth_data::Vec3;
 use rayon::prelude::*;
@@ -58,11 +59,13 @@ pub fn rasterize_mesh(
         .collect();
 
     let chunk = (mesh.indices.len() / (rayon::current_num_threads() * 4)).max(1024);
-    let (fb, stats) = mesh
-        .indices
-        .par_chunks(chunk)
-        .map(|tris| {
-            let mut fb = Framebuffer::new(camera.width, camera.height, background);
+    let (fb, chunk_stats) = rasterize_chunks(
+        &mesh.indices,
+        chunk,
+        camera.width,
+        camera.height,
+        background,
+        |_, tris, zb| {
             let mut stats = RasterStats {
                 triangles_in: tris.len(),
                 ..Default::default()
@@ -77,31 +80,20 @@ pub fn rasterize_mesh(
                     // near-plane clipping is overkill for bounded scenes).
                     continue;
                 };
-                if fill_triangle(mesh, tf, camera, lighting, &mut fb, a, b, c, &mut stats) {
+                if fill_triangle(mesh, tf, camera, lighting, zb, a, b, c, &mut stats) {
                     stats.triangles_rasterized += 1;
                 }
             }
-            (fb, stats)
-        })
-        .reduce(
-            || {
-                (
-                    Framebuffer::new(camera.width, camera.height, background),
-                    RasterStats::default(),
-                )
-            },
-            |(mut fa, sa), (fb, sb)| {
-                fa.composite_in(&fb);
-                (
-                    fa,
-                    RasterStats {
-                        triangles_in: sa.triangles_in + sb.triangles_in,
-                        triangles_rasterized: sa.triangles_rasterized + sb.triangles_rasterized,
-                        fragments: sa.fragments + sb.fragments,
-                    },
-                )
-            },
-        );
+            stats
+        },
+    );
+    let stats = chunk_stats
+        .into_iter()
+        .fold(RasterStats::default(), |a, b| RasterStats {
+            triangles_in: a.triangles_in + b.triangles_in,
+            triangles_rasterized: a.triangles_rasterized + b.triangles_rasterized,
+            fragments: a.fragments + b.fragments,
+        });
     (fb, stats)
 }
 
@@ -112,7 +104,7 @@ fn fill_triangle(
     tf: &TransferFunction,
     camera: &Camera,
     lighting: &Lighting,
-    fb: &mut Framebuffer,
+    zb: &mut ChunkZBuffer,
     a: ProjVert,
     b: ProjVert,
     c: ProjVert,
@@ -120,9 +112,9 @@ fn fill_triangle(
 ) -> bool {
     // Screen-space bounding box, clipped to the image.
     let min_x = a.x.min(b.x).min(c.x).floor().max(0.0) as usize;
-    let max_x = (a.x.max(b.x).max(c.x).ceil() as isize).min(fb.width() as isize - 1);
+    let max_x = (a.x.max(b.x).max(c.x).ceil() as isize).min(zb.width() as isize - 1);
     let min_y = a.y.min(b.y).min(c.y).floor().max(0.0) as usize;
-    let max_y = (a.y.max(b.y).max(c.y).ceil() as isize).min(fb.height() as isize - 1);
+    let max_y = (a.y.max(b.y).max(c.y).ceil() as isize).min(zb.height() as isize - 1);
     if max_x < min_x as isize || max_y < min_y as isize {
         return false;
     }
@@ -162,13 +154,16 @@ fn fill_triangle(
             let iz2 = w2 / c.depth;
             let iz_sum = iz0 + iz1 + iz2;
             let depth = 1.0 / iz_sum;
-            let pw0 = iz0 * depth;
-            let pw1 = iz1 * depth;
-            let pw2 = iz2 * depth;
-            let normal = na * pw0 + nb * pw1 + nc * pw2;
-            let scalar = sa * pw0 + sb * pw1 + sc * pw2;
-            let color = lighting.shade(tf.color(scalar), normal, view_dir);
-            if fb.write(px, py, depth, color) {
+            // Interpolate and shade only a fragment that wins the test.
+            let shade = || {
+                let pw0 = iz0 * depth;
+                let pw1 = iz1 * depth;
+                let pw2 = iz2 * depth;
+                let normal = na * pw0 + nb * pw1 + nc * pw2;
+                let scalar = sa * pw0 + sb * pw1 + sc * pw2;
+                lighting.shade(tf.color(scalar), normal, view_dir)
+            };
+            if zb.write(px, py, depth, shade) {
                 stats.fragments += 1;
             }
             landed = true;
